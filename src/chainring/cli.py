@@ -3,7 +3,8 @@
 One JSON document per invocation on stdout.  Exit codes: 0 for success (and
 for ``check`` runs whose required identities all hold), 1 when a required
 identity is violated, 2 for usage or input errors, 3 when an exhaustive
-enumeration would exceed its cap.
+enumeration would exceed its cap, 4 when an internal invariant is violated
+(a bug in chainring, never a verdict on the input).
 
 The ``random`` subcommand is pinned for reproducibility: entries are drawn
 row-major as ``random.Random(seed).randrange(p**s)``, each draw taken as the
@@ -32,7 +33,7 @@ from .codefile import (
     ring_to_obj,
 )
 from .enumeration import WeightDistribution, render_enumerator, weight_distribution
-from .errors import CapExceededError
+from .errors import CapExceededError, InvariantError
 from .identities import (
     IdentityContext,
     check_new_relation,
@@ -179,9 +180,9 @@ def _cmd_wdist(args) -> tuple[Any, int]:
     doc = _load_document(args.file)
     code = doc.to_code()
     if args.method == "enumerate":
-        dist = weight_distribution(code, workers=args.workers)
+        dist = weight_distribution(code)
     elif args.method == "solve":
-        dual_dist = weight_distribution(dual(code), workers=args.workers)
+        dual_dist = weight_distribution(dual(code))
         ctx = IdentityContext.from_code(code, d=args.d, d_dual=_dual_distance(dual_dist))
         dist = solve_distribution(ctx, _parse_known(args.known))
     else:  # mds
@@ -223,11 +224,11 @@ def _cmd_mac(args) -> tuple[Any, int]:
 def _cmd_classify(args) -> tuple[Any, int]:
     doc = _load_document(args.file)
     code = doc.to_code()
-    dist = weight_distribution(code, workers=args.workers)
+    dist = weight_distribution(code)
     d = dist.min_positive_weight
     if d is None:
         raise CodeFileError("the zero code has no minimum distance to classify")
-    dual_dist = weight_distribution(dual(code), workers=args.workers)
+    dual_dist = weight_distribution(dual(code))
     d_dual = dual_dist.min_positive_weight
     profile = classify(code, d, d_dual)
     return (
@@ -259,7 +260,7 @@ def _cmd_check(args) -> tuple[Any, int]:
     if args.distribution:
         dist = _distribution_from_counts(code, _parse_counts(args.distribution, n))
     else:
-        dist = weight_distribution(code, workers=args.workers)
+        dist = weight_distribution(code)
 
     report: dict[str, Any] = {"identity": args.identity, "n": n}
     results: list[dict[str, Any]] = []
@@ -280,8 +281,19 @@ def _cmd_check(args) -> tuple[Any, int]:
             }
         )
 
+    def scan_nus(first: int) -> list[int]:
+        # One nu is scanned as asked; the library raises when it is over the
+        # subset cap.  --all-nu skips and reports every nu over the cap.
+        if not args.all_nu:
+            return [args.nu]
+        nus = range(first, n + 1)
+        skipped = [nu for nu in nus if comb(n, nu) > args.subset_cap]
+        if skipped:
+            report["skipped_nu"] = skipped
+        return [nu for nu in nus if comb(n, nu) <= args.subset_cap]
+
     if args.identity in ("new", "pless", "power", "subtypes"):
-        dual_dist = weight_distribution(dual(code), workers=args.workers)
+        dual_dist = weight_distribution(dual(code))
         d_dual = _dual_distance(dual_dist)
         report["d_dual"] = d_dual
 
@@ -304,43 +316,23 @@ def _cmd_check(args) -> tuple[Any, int]:
             result = power_moment(dist, dual_dist, nu=nu, form="full")
             push(nu, result.lhs, result.rhs, result.holds, True)
     elif args.identity == "doublecount":
-        nus = range(n + 1) if args.all_nu else [args.nu]
-        skipped = []
-        for nu in nus:
-            if comb(n, nu) > args.subset_cap:
-                if args.all_nu:
-                    skipped.append(nu)
-                    continue
-                raise CapExceededError(
-                    f"{comb(n, nu)} column subsets exceed the cap of {args.subset_cap}"
-                )
+        for nu in scan_nus(0):
             result = double_count_check(
                 code, nu, distribution=dist, subset_cap=args.subset_cap
             )
             push(nu, result.kernel_side, result.codeword_side, result.holds, True)
-        if skipped:
-            report["skipped_nu"] = skipped
     elif args.identity == "subtypes":
         parity = code.parity_check()
-        expected = (n - code.rank,) + tuple(reversed(code.profile.counts[1:]))
-        nus = range(1, n + 1) if args.all_nu else [args.nu]
-        skipped = []
-        for nu in nus:
-            if nu < 1:
-                raise CodeFileError("subtypes needs nu >= 1")
-            if comb(n, nu) > args.subset_cap:
-                if args.all_nu:
-                    skipped.append(nu)
-                    continue
-                raise CapExceededError(
-                    f"{comb(n, nu)} column subsets exceed the cap of {args.subset_cap}"
-                )
+        expected = code.profile.dual(n)
+        if not args.all_nu and args.nu < 1:
+            raise CodeFileError("subtypes needs nu >= 1")
+        for nu in scan_nus(1):
             tally = count_submatrix_types(parity, nu, cap=args.subset_cap)
             required = nu > n - d_dual
             only = next(iter(tally)) if len(tally) == 1 else None
             holds = (
                 only is not None
-                and only.counts == expected
+                and only == expected
                 and tally[only] == comb(n, nu)
             )
             if required and not holds:
@@ -358,8 +350,6 @@ def _cmd_check(args) -> tuple[Any, int]:
                     "required": required,
                 }
             )
-        if skipped:
-            report["skipped_nu"] = skipped
 
     report["results"] = results
     report["all_required_hold"] = all_required_hold
@@ -423,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     wdist.add_argument("--known", help="comma list of index=value pairs for --method solve")
     wdist.add_argument("--d", type=int, help="minimum distance hint for --method solve")
-    wdist.add_argument("--workers", type=int, default=1)
     wdist.add_argument("--poly", action="store_true", help="include the enumerator polynomial")
 
     mac = sub.add_parser("mac", help="MacWilliams transform of a distribution")
@@ -443,15 +432,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--nu", type=int)
     check.add_argument("--all-nu", dest="all_nu", action="store_true")
-    check.add_argument("--workers", type=int, default=1)
     check.add_argument("--subset-cap", dest="subset_cap", type=int, default=DEFAULT_SUBSET_CAP)
     check.add_argument(
         "--distribution",
         help="comma list of counts to validate instead of enumerating",
     )
 
-    classify_cmd = code_cmd("classify", "Singleton defects and classification label")
-    classify_cmd.add_argument("--workers", type=int, default=1)
+    code_cmd("classify", "Singleton defects and classification label")
 
     rand = sub.add_parser("random", help="deterministic seeded random code document")
     rand.add_argument("--p", type=int, required=True)
@@ -476,6 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return 4
     print(json.dumps(payload, separators=(",", ":")))
     return status
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InvariantError
-from .matrix import RingMatrix, StandardForm, TypeProfile, standard_form
+from .matrix import RingMatrix, StandardForm, TypeProfile, _dot, standard_form
 from .ring import ChainRing, ElementLike
 
 __all__ = [
@@ -51,9 +51,7 @@ class LinearCode:
 
     @property
     def cardinality(self) -> int:
-        ring = self.ring
-        exponent = sum((ring.s - i) * k for i, k in enumerate(self.profile.counts))
-        return ring.p**exponent
+        return self.profile.module_size(self.ring.p)
 
     @property
     def is_free(self) -> bool:
@@ -92,14 +90,7 @@ class LinearCode:
             raise ValueError(f"vector of length {len(vector)} in a code of length {self.n}")
         ring = self.ring
         codes = [ring.encode(v) for v in vector]
-        for hrow in self.parity_check().rows:
-            acc = 0
-            for h, v in zip(hrow, codes):
-                if h and v:
-                    acc = ring.add(acc, ring.mul(h, v))
-            if acc:
-                return False
-        return True
+        return not any(_dot(ring, hrow, codes) for hrow in self.parity_check().rows)
 
     def same_codewords(self, other: LinearCode) -> bool:
         """Exact codeword-set equality (no enumeration needed)."""
@@ -154,22 +145,6 @@ def _grid_transpose(grid: list[list[int]], ncols: int) -> list[list[int]]:
     return [[row[c] for row in grid] for c in range(ncols)]
 
 
-def _grid_matmul(ring: ChainRing, a: list[list[int]], b: list[list[int]], bcols: int) -> list[list[int]]:
-    out = []
-    for arow in a:
-        orow = [0] * bcols
-        for k, x in enumerate(arow):
-            if x == 0:
-                continue
-            brow = b[k]
-            for c in range(bcols):
-                y = brow[c]
-                if y:
-                    orow[c] = ring.add(orow[c], ring.mul(x, y))
-        out.append(orow)
-    return out
-
-
 def _systematic_parity_rows(code: LinearCode) -> list[list[int]]:
     ring = code.ring
     s = ring.s
@@ -207,12 +182,9 @@ def _systematic_parity_rows(code: LinearCode) -> list[list[int]]:
                 for row in _grid_transpose(gen_block(s - j, s - i), width[s - i])
             ]
             for k in range(i + 1, j):
-                term = _grid_matmul(
-                    ring,
-                    blocks[(i, k)],
-                    _grid_transpose(gen_block(s - j, s - k), width[s - k]),
-                    width[s - j],
-                )
+                # B[i][k] * A[s-j][s-k]^T: row r of B against row c of A
+                gen = gen_block(s - j, s - k)
+                term = [[_dot(ring, brow, grow) for grow in gen] for brow in blocks[(i, k)]]
                 for r in range(width[s - i]):
                     row = acc[r]
                     trow = term[r]
@@ -248,14 +220,8 @@ def _systematic_parity_rows(code: LinearCode) -> list[list[int]]:
 def _verify_orthogonal(
     generators: RingMatrix, parity_rows: list[list[int]], ring: ChainRing
 ) -> None:
-    for grow in generators.rows:
-        for hrow in parity_rows:
-            acc = 0
-            for a, b in zip(grow, hrow):
-                if a and b:
-                    acc = ring.add(acc, ring.mul(a, b))
-            if acc:
-                raise InvariantError("generator and parity-check rows are not orthogonal")
+    if any(_dot(ring, grow, hrow) for grow in generators.rows for hrow in parity_rows):
+        raise InvariantError("generator and parity-check rows are not orthogonal")
 
 
 def parity_check(code: LinearCode) -> RingMatrix:
@@ -270,8 +236,7 @@ def dual(code: LinearCode) -> LinearCode:
     internal inconsistency.
     """
     result = code_from_generators(code.ring, code.n, code.parity_check().rows)
-    counts = code.profile.counts
-    expected = (code.n - code.rank,) + tuple(reversed(counts[1:]))
+    expected = code.profile.dual(code.n).counts
     if result.profile.counts != expected:
         raise InvariantError(
             f"dual type {result.profile.counts} differs from expected {expected}"

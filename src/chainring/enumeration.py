@@ -8,9 +8,8 @@ coordinates, which is valid because column permutations preserve Hamming
 weight; the codeword stream itself restores original coordinates.
 
 The message space is totally ordered (mixed radix, last generator row varies
-fastest).  Work is split into contiguous index ranges, each handled as a
-vectorized block; partial distributions merge by addition, so the result is
-independent of the number of workers.
+fastest) and is walked in contiguous vectorized blocks; the per-block
+histograms merge by addition.
 """
 
 from __future__ import annotations
@@ -172,16 +171,10 @@ class _MessageSpace:
                         offset[i] = ring.add(offset[i], ring.mul(digit, row[i]))
         return np.array(offset, dtype=np.int64)
 
-    def blocks(self, start: int, stop: int) -> Iterator[np.ndarray]:
-        """Codeword rows for message indices in [start, stop), in order."""
-        if stop <= start:
-            return
-        first = start // self.block
-        last = (stop - 1) // self.block
-        for outer in range(first, last + 1):
-            lo = max(start - outer * self.block, 0)
-            hi = min(stop - outer * self.block, self.block)
-            chunk = self.base[lo:hi]
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Codeword rows for every message index, in order, one block per outer index."""
+        for outer in range(self.total // self.block):
+            chunk = self.base
             offset = self.offset_vector(outer)
             if offset.any():
                 chunk = _vec_add(self.ring, chunk, offset[None, :])
@@ -194,23 +187,17 @@ def _check_cap(total: int, cap: int | None) -> None:
         raise CapExceededError(f"code has {total} words, above the enumeration cap {limit}")
 
 
-def weight_distribution(
-    code: LinearCode, *, workers: int = 1, cap: int | None = None
-) -> WeightDistribution:
+def weight_distribution(code: LinearCode, *, cap: int | None = None) -> WeightDistribution:
     """Exact Hamming-weight histogram of all codewords."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     _check_cap(code.cardinality, cap)
     space = _MessageSpace(code)
     if space.total != code.cardinality:
         raise InvariantError("message space size differs from the cardinality formula")
     n = code.n
     hist = np.zeros(n + 1, dtype=np.int64)
-    bounds = [space.total * w // workers for w in range(workers + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        for chunk in space.blocks(lo, hi):
-            weights = np.count_nonzero(chunk, axis=1)
-            hist += np.bincount(weights, minlength=n + 1)
+    for chunk in space.blocks():
+        weights = np.count_nonzero(chunk, axis=1)
+        hist += np.bincount(weights, minlength=n + 1)
     return WeightDistribution(
         n=n,
         counts=tuple(int(x) for x in hist),
@@ -231,7 +218,7 @@ def enumerate_codewords(code: LinearCode, *, cap: int | None = None) -> Iterator
     for pos, src in enumerate(perm):
         inv[src] = pos
     take = np.array(inv, dtype=np.intp) if perm else None
-    for chunk in space.blocks(0, space.total):
+    for chunk in space.blocks():
         restored = chunk[:, take] if take is not None else chunk
         for row in restored.tolist():
             yield tuple(row)

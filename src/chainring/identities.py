@@ -20,14 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 from typing import Mapping
 
-from .code import LinearCode, kernel_code
+from .code import LinearCode
 from .enumeration import WeightDistribution, weight_distribution
-from .errors import CapExceededError
-from .matrix import DEFAULT_SUBSET_CAP, RingMatrix
+from .matrix import DEFAULT_SUBSET_CAP, TypeProfile, _subset_profiles
 
 __all__ = [
     "ClosedFormCrossCheck",
@@ -116,12 +114,11 @@ class IdentityContext:
             raise ValueError(f"type profile must be {s} nonnegative counts, got {counts!r}")
         if sum(counts) > n:
             raise ValueError(f"rank {sum(counts)} exceeds length {n}")
-        card = p ** sum((s - i) * k for i, k in enumerate(counts))
         return cls(
             n=n,
             p=p,
             s=s,
-            card=card,
+            card=TypeProfile(counts).module_size(p),
             rank=sum(counts),
             free_rank=counts[0],
             d=d,
@@ -245,19 +242,19 @@ def double_count_check(
     Side one sums |ker H_I| over all column subsets I of size nu; side two is
     the binomial-weighted sum over the weight distribution.  Equality holds
     for every nu, with no threshold.
+
+    Chain rings are Frobenius, so the column space of H_I has the type of its
+    row space and |ker H_I| = q^nu / |rowspace(H_I)| is read off the type of
+    the reduced submatrix.
     """
     n = code.n
     if not 0 <= nu <= n:
         raise ValueError(f"nu must lie in 0..{n}, got {nu}")
-    if comb(n, nu) > subset_cap:
-        raise CapExceededError(
-            f"{comb(n, nu)} column subsets exceed the cap of {subset_cap}"
-        )
-    parity = code.parity_check()
-    kernel_side = 0
-    for cols in combinations(range(n), nu):
-        rows = tuple(tuple(row[c] for c in cols) for row in parity.rows)
-        kernel_side += kernel_code(RingMatrix(code.ring, rows, nu)).cardinality
+    ring = code.ring
+    kernel_side = sum(
+        ring.size**nu // profile.module_size(ring.p)
+        for profile in _subset_profiles(code.parity_check(), nu, subset_cap)
+    )
     dist = distribution if distribution is not None else weight_distribution(code)
     codeword_side = sum(
         binomial(n - l, nu - l) * a for l, a in enumerate(dist.counts[: nu + 1])

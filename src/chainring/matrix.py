@@ -1,8 +1,8 @@
 """Matrices over a chain ring.
 
 Provides reduction to block standard form via valuation-aware Gaussian
-elimination, row-type profiles, column submatrices, exhaustive counting of
-submatrix types, and the row-space cardinality formula.
+elimination, row-type profiles, column submatrices, the one scan over column
+subsets that tallies submatrix types, and the row-space cardinality formula.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .ring import ChainRing, ElementLike, RingElement
@@ -87,6 +87,15 @@ def identity_matrix(ring: ChainRing, n: int) -> RingMatrix:
     return RingMatrix(ring, rows, n)
 
 
+def _dot(ring: ChainRing, xs: Iterable[int], ys: Iterable[int]) -> int:
+    """Dot product of two element-code vectors; zero operands are skipped."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = ring.add(acc, ring.mul(x, y))
+    return acc
+
+
 def matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
     if a.ring != b.ring:
         raise ValueError("matrix product across different rings")
@@ -94,17 +103,8 @@ def matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
         raise ValueError(f"dimension mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
     ring = a.ring
     bt = b.transpose().rows
-    out = []
-    for arow in a.rows:
-        orow = []
-        for bcol in bt:
-            acc = 0
-            for x, y in zip(arow, bcol):
-                if x and y:
-                    acc = ring.add(acc, ring.mul(x, y))
-            orow.append(acc)
-        out.append(tuple(orow))
-    return RingMatrix(ring, tuple(out), b.ncols)
+    out = tuple(tuple(_dot(ring, arow, bcol) for bcol in bt) for arow in a.rows)
+    return RingMatrix(ring, out, b.ncols)
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,15 @@ class TypeProfile:
 
     def __iter__(self):
         return iter(self.counts)
+
+    def module_size(self, p: int) -> int:
+        """Elements of a module of this type: p**sum((s-i) * t_i), s = len(counts)."""
+        s = len(self.counts)
+        return p ** sum((s - i) * k for i, k in enumerate(self.counts))
+
+    def dual(self, n: int) -> TypeProfile:
+        """Type of the dual of a length-n code of this type: (n-K, t_{s-1}, ..., t_1)."""
+        return TypeProfile((n - self.rank,) + tuple(reversed(self.counts[1:])))
 
 
 @dataclass(frozen=True)
@@ -246,6 +255,22 @@ def submatrix(matrix: RingMatrix, indices: Sequence[int]) -> RingMatrix:
     return RingMatrix(matrix.ring, rows, len(picked))
 
 
+def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> Iterator[TypeProfile]:
+    """Canonical type of each nu-column submatrix, one reduction per subset.
+
+    Subsets come in lexicographic order; nu = 0 yields the single empty
+    subset.  Raises CapExceededError when iteration starts, before any subset
+    is reduced, if comb(ncols, nu) exceeds the cap.
+    """
+    total = comb(matrix.ncols, nu)
+    if total > cap:
+        raise CapExceededError(f"{total} column subsets exceed the cap of {cap}")
+    ring = matrix.ring
+    for cols in combinations(range(matrix.ncols), nu):
+        rows = tuple(tuple(row[c] for c in cols) for row in matrix.rows)
+        yield standard_form(RingMatrix(ring, rows, nu)).profile
+
+
 def count_submatrix_types(
     matrix: RingMatrix, nu: int, cap: int = DEFAULT_SUBSET_CAP
 ) -> dict[TypeProfile, int]:
@@ -256,23 +281,12 @@ def count_submatrix_types(
     """
     if not 1 <= nu <= matrix.ncols:
         raise ValueError(f"nu must lie in 1..{matrix.ncols}, got {nu}")
-    total = comb(matrix.ncols, nu)
-    if total > cap:
-        raise CapExceededError(
-            f"{total} column subsets exceed the cap of {cap}; use a smaller instance"
-        )
-    ring = matrix.ring
     tally: dict[TypeProfile, int] = {}
-    for cols in combinations(range(matrix.ncols), nu):
-        rows = tuple(tuple(row[c] for c in cols) for row in matrix.rows)
-        profile = standard_form(RingMatrix(ring, rows, nu)).profile
+    for profile in _subset_profiles(matrix, nu, cap):
         tally[profile] = tally.get(profile, 0) + 1
     return tally
 
 
 def rowspace_size(matrix: RingMatrix) -> int:
     """Number of vectors in the row space: p**sum((s-i) * k_i)."""
-    profile = standard_form(matrix).profile
-    ring = matrix.ring
-    exponent = sum((ring.s - i) * k for i, k in enumerate(profile.counts))
-    return ring.p**exponent
+    return standard_form(matrix).profile.module_size(matrix.ring.p)

@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+import chainring.cli
 from chainring.cli import main
 from chainring.enumeration import ENUMERATION_CAP_ENV
+from chainring.errors import InvariantError
 
 C1_DOC = {
     "ring": {"p": 5, "s": 3, "backend": "int"},
@@ -80,10 +82,10 @@ class TestWdist:
         assert payload["distribution"] == ["1", "3", "7", "5"]
         assert payload["enumerator_polynomial"] == "X^3 + 3*X^2*Y + 7*X*Y^2 + 5*Y^3"
 
-    def test_workers_do_not_change_output(self, capsys, c1_file):
-        _, base, _ = run(capsys, "wdist", c1_file)
-        _, multi, _ = run(capsys, "wdist", c1_file, "--workers", "8")
-        assert base == multi
+    def test_workers_flag_is_gone(self, capsys, c1_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["wdist", c1_file, "--workers", "2"])
+        assert exc.value.code == 2
 
 
 class TestStructureCommands:
@@ -226,6 +228,34 @@ class TestCheck:
         assert by_nu[3]["holds"] is True
         assert by_nu[3]["types"] == [{"profile": [2, 0, 0], "count": 4}]
 
+    @pytest.mark.parametrize("identity", ["doublecount", "subtypes"])
+    def test_all_nu_skips_nu_over_subset_cap(self, capsys, c1_file, identity):
+        # n = 4: comb(4, 2) = 6 is the only subset count above 4
+        status, out, _ = run(
+            capsys, "check", c1_file, "--identity", identity, "--all-nu",
+            "--subset-cap", "4",
+        )
+        payload = json.loads(out)
+        assert status == 0
+        assert payload["skipped_nu"] == [2]
+        first = 0 if identity == "doublecount" else 1
+        assert [r["nu"] for r in payload["results"]] == [nu for nu in range(first, 5) if nu != 2]
+
+    @pytest.mark.parametrize("identity", ["doublecount", "subtypes"])
+    def test_single_nu_over_subset_cap_exits_3(self, capsys, c1_file, identity):
+        status, out, err = run(
+            capsys, "check", c1_file, "--identity", identity, "--nu", "2",
+            "--subset-cap", "4",
+        )
+        assert status == 3
+        assert out == ""
+        assert "6 column subsets exceed the cap of 4" in err
+
+    def test_subtypes_rejects_nu_zero(self, capsys, c1_file):
+        status, _, err = run(capsys, "check", c1_file, "--identity", "subtypes", "--nu", "0")
+        assert status == 2
+        assert "nu >= 1" in err
+
     def test_wrong_distribution_fails_required_check(self, capsys, c1_file):
         status, out, _ = run(
             capsys,
@@ -297,6 +327,20 @@ class TestExitCodes:
         status, _, err = run(capsys, "wdist", c1_file)
         assert status == 3
         assert "cap" in err
+
+    def test_invariant_error_exits_4_without_traceback(self, capsys, c1_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantError("message space size differs from the cardinality formula")
+
+        monkeypatch.setattr(chainring.cli, "weight_distribution", broken)
+        status, out, err = run(capsys, "wdist", c1_file)
+        assert status == 4
+        assert out == ""
+        assert err.splitlines() == [
+            "error: internal invariant violated: "
+            "message space size differs from the cardinality formula"
+        ]
+        assert "Traceback" not in err
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -88,18 +88,6 @@ class TestWeightDistribution:
         other = code_from_generators(ring, code.n, shuffled)
         assert weight_distribution(other).counts == baseline
 
-    def test_workers_produce_identical_histograms(self):
-        code = code_from_generators(Z125, 4, [(1, 0, 57, 0), (0, 1, 0, 68)])
-        reference = weight_distribution(code, workers=1).counts
-        for workers in (2, 8):
-            assert weight_distribution(code, workers=workers).counts == reference
-
-    def test_workers_on_odd_sizes(self):
-        code = code_from_generators(Z9, 4, [(1, 2, 0, 1), (0, 3, 3, 6)])
-        reference = weight_distribution(code, workers=1).counts
-        for workers in (2, 3, 7, 8):
-            assert weight_distribution(code, workers=workers).counts == reference
-
     def test_cap_enforced(self):
         code = code_from_generators(Z4, 3, REFERENCE_Z4)
         with pytest.raises(CapExceededError, match="cap"):
@@ -215,12 +203,6 @@ class TestLargeScale:
         assert code.cardinality == 531441  # several 2**16-row blocks
         dist = weight_distribution(code)
         assert dist.counts == tuple(comb(6, i) * 8**i for i in range(7))
-
-    def test_workers_split_across_outer_blocks(self):
-        code = code_from_generators(Z9, 6, identity_matrix(Z9, 6).rows)
-        reference = weight_distribution(code, workers=1).counts
-        for workers in (2, 5, 8):
-            assert weight_distribution(code, workers=workers).counts == reference
 
     def test_large_dual_of_sparse_code(self):
         # one deep-valuation row leaves a 390625-word dual over Z/125

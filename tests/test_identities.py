@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -15,6 +16,7 @@ from chainring import (
     check_new_relation,
     closed_form_crosscheck,
     code_from_generators,
+    count_submatrix_types,
     double_count_check,
     dual,
     identity_matrix,
@@ -178,6 +180,41 @@ class TestDoubleCount:
         code = code_from_generators(Z125, 4, C1_ROWS)
         result = double_count_check(code, 3)
         assert result.kernel_side == result.codeword_side == 500
+
+    def test_kernel_side_matches_kernel_code_oracle(self, extended_corpus):
+        # comb(8, 4) = 70 covers every nu of the corpus (n <= 8); the bound keeps
+        # the kernel_code oracle fast if the corpus grows
+        max_subsets = 70
+        backends = set()
+        for entry in extended_corpus:
+            code = entry.code
+            ring, n = code.ring, code.n
+            parity = code.parity_check()
+            for nu in range(n + 1):
+                if comb(n, nu) > max_subsets:
+                    continue
+                expected = sum(
+                    kernel_code(submatrix(parity, [c + 1 for c in cols])).cardinality
+                    for cols in combinations(range(n), nu)
+                )
+                result = double_count_check(code, nu, distribution=entry.dist)
+                assert result.kernel_side == expected, (entry.label, nu)
+                if nu:
+                    tally = count_submatrix_types(parity, nu)
+                    weighted = sum(
+                        count * ring.size**nu // profile.module_size(ring.p)
+                        for profile, count in tally.items()
+                    )
+                    assert weighted == expected, (entry.label, nu)
+                backends.add(ring.backend)
+        assert backends == {"int", "poly"}
+
+    def test_full_space_has_no_parity_rows(self):
+        code = code_from_generators(Z9, 3, identity_matrix(Z9, 3).rows)
+        for nu in range(4):
+            result = double_count_check(code, nu)
+            assert result.kernel_side == comb(3, nu) * 9**nu
+            assert result.holds
 
     def test_every_nu_on_corpus_sample(self, corpus):
         for entry in corpus[:12]:

@@ -216,6 +216,18 @@ class TestCountSubmatrixTypes:
             count_submatrix_types(m, 4)
 
 
+class TestTypeFormulas:
+    def test_module_size(self):
+        assert TypeProfile((1, 2)).module_size(2) == 16
+        assert TypeProfile((2, 0, 0)).module_size(5) == 15625
+        assert TypeProfile((0, 0)).module_size(3) == 1
+
+    def test_dual_type(self):
+        assert TypeProfile((1, 2)).dual(3) == TypeProfile((0, 2))
+        assert TypeProfile((2, 0, 0)).dual(4) == TypeProfile((2, 0, 0))
+        assert TypeProfile((1, 2, 3)).dual(7) == TypeProfile((1, 3, 2))
+
+
 class TestRowspaceSize:
     def test_reference_code(self):
         g = RingMatrix.build(Z4, [(1, 0, 1), (0, 2, 0), (0, 0, 2)])
