@@ -3,8 +3,9 @@
 One JSON document per invocation on stdout.  Exit codes: 0 for success (and
 for ``check`` runs whose required identities all hold), 1 when a required
 identity is violated, 2 for usage or input errors, 3 when an exhaustive
-enumeration would exceed its cap, 4 when an internal invariant is violated
-(a bug in chainring, never a verdict on the input).
+enumeration (of codewords or of column subsets) would exceed its cap, 4 when
+an internal invariant is violated (a bug in chainring, never a verdict on the
+input).
 
 The ``random`` subcommand is pinned for reproducibility: entries are drawn
 row-major as ``random.Random(seed).randrange(p**s)``, each draw taken as the
@@ -205,6 +206,8 @@ def _cmd_mac(args) -> tuple[Any, int]:
         raise CodeFileError(f"malformed JSON distribution: {exc}") from exc
     if not isinstance(raw, list):
         raise CodeFileError("distribution input must be a JSON array")
+    if any(isinstance(x, bool) for x in raw):
+        raise CodeFileError("distribution entries must be integers or decimal strings")
     try:
         counts = tuple(int(x) for x in raw)
     except (TypeError, ValueError) as exc:
@@ -256,6 +259,8 @@ def _cmd_check(args) -> tuple[Any, int]:
         raise CodeFileError("check needs --nu N or --all-nu")
     if args.nu is not None and not 0 <= args.nu <= n:
         raise CodeFileError(f"--nu must lie in 0..{n}")
+    if args.subset_cap < 0:
+        raise CodeFileError("--subset-cap must be nonnegative")
 
     if args.distribution:
         dist = _distribution_from_counts(code, _parse_counts(args.distribution, n))
@@ -283,12 +288,15 @@ def _cmd_check(args) -> tuple[Any, int]:
 
     def scan_nus(first: int) -> list[int]:
         # One nu is scanned as asked; the library raises when it is over the
-        # subset cap.  --all-nu skips and reports every nu over the cap.
+        # subset cap.  --all-nu skips and reports every nu over the cap, and
+        # refuses when that leaves nothing to check.
         if not args.all_nu:
             return [args.nu]
         nus = range(first, n + 1)
         skipped = [nu for nu in nus if comb(n, nu) > args.subset_cap]
         if skipped:
+            if len(skipped) == len(nus):
+                raise CapExceededError(f"every nu exceeds the subset cap of {args.subset_cap}")
             report["skipped_nu"] = skipped
         return [nu for nu in nus if comb(n, nu) <= args.subset_cap]
 

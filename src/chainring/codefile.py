@@ -37,6 +37,11 @@ class CodeFileError(ValueError):
     """Malformed code file or distribution input."""
 
 
+def _is_int(value: Any) -> bool:
+    # JSON true/false decode to bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ring_to_obj(ring: ChainRing) -> dict[str, Any]:
     return {"p": ring.p, "s": ring.s, "backend": ring.backend}
 
@@ -48,7 +53,7 @@ def ring_from_obj(obj: Any) -> ChainRing:
     if backend not in BACKENDS:
         raise CodeFileError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
     for key in ("p", "s"):
-        if not isinstance(obj.get(key), int):
+        if not _is_int(obj.get(key)):
             raise CodeFileError(f"ring descriptor needs an integer {key!r}")
     try:
         return ChainRing(obj["p"], obj["s"], backend)
@@ -63,10 +68,10 @@ def element_to_obj(ring: ChainRing, code: int):
 
 def element_from_obj(ring: ChainRing, obj: Any) -> int:
     if ring.backend == "int":
-        if not isinstance(obj, int):
+        if not _is_int(obj):
             raise CodeFileError(f"integer-backend element must be an int, got {obj!r}")
         return ring.encode(obj)
-    if not isinstance(obj, list) or not all(isinstance(c, int) for c in obj):
+    if not isinstance(obj, list) or not all(_is_int(c) for c in obj):
         raise CodeFileError(f"polynomial-backend element must be a coefficient array, got {obj!r}")
     if len(obj) > ring.s:
         raise CodeFileError(f"element {obj!r} has more than {ring.s} coefficients")
@@ -127,7 +132,7 @@ def parse_code_document(text: str) -> CodeDocument:
         raise CodeFileError("code file is missing the 'ring' descriptor")
     ring = ring_from_obj(obj["ring"])
     n = obj.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise CodeFileError(f"'n' must be a nonnegative integer, got {n!r}")
     raw = obj.get("generators")
     if not isinstance(raw, list):

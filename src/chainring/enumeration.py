@@ -7,15 +7,37 @@ cardinality formula.  Weights are taken in the reduced (permuted)
 coordinates, which is valid because column permutations preserve Hamming
 weight; the codeword stream itself restores original coordinates.
 
-The message space is totally ordered (mixed radix, last generator row varies
-fastest) and is walked in contiguous vectorized blocks; the per-block
-histograms merge by addition.
+Digit rows.  A representative c < p**(s-i) has base-p digits d_m (in the
+polynomial backend, its coefficients), and c*g is the sum of the integer
+multiples d_m * (gamma**m g) in both backends.  Each generator row of level
+i is therefore split into s-i digit rows gamma**m g of radix p, high digit
+first, and the message space becomes the base-p numbers of log_p |C|
+digits, totally ordered with the last digit row varying fastest.  One
+vectorized builder (``_MessageSpace.table``) makes every table of words: one
+value of the high digit rows, every value of the low ones.
+
+Compare, don't add.  In any ring a + b == 0 exactly when a == -b.  The low
+digit rows span an inner table of words; the high ones give outer offsets,
+built negated.  Word (outer, inner) then has weight
+``count_nonzero(inner != -outer)``: one comparison per cell, with no modular
+addition and no backend branch.  Tables are stored in the narrowest unsigned
+dtype that holds the ring's element codes, and ``_vec_add`` runs only inside
+the builder.
+
+Cell budget.  No array the enumeration allocates holds more than
+``_BLOCK_CELLS`` cells: word tables hold at most ``_BLOCK_CELLS // n`` words
+(one word when n exceeds the budget), and one kernel iteration compares a
+run of negated offsets with the inner table in a grid of at most
+``_BLOCK_CELLS`` words.  A digit whose radix p exceeds a table is split into
+contiguous chunks of its range, since [a, a+b)*h == a*h + [0, b)*h, so no
+ring falls back to a word per iteration.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator
 
 import numpy as np
@@ -38,7 +60,7 @@ __all__ = [
 DEFAULT_ENUMERATION_CAP = 1 << 24
 ENUMERATION_CAP_ENV = "CHAINRING_ENUM_CAP"
 
-_BLOCK_ROWS = 1 << 16
+_BLOCK_CELLS = 1 << 15
 
 
 def enumeration_cap() -> int:
@@ -105,80 +127,135 @@ def render_enumerator(dist: WeightDistribution) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-# -- vectorized ring arithmetic ------------------------------------------------
+# -- the kernel -----------------------------------------------------------------
 
 
-def _vec_add(ring: ChainRing, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _narrowest(bound: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every integer below ``bound``."""
+    return np.min_scalar_type(bound - 1)
+
+
+def _vec_add(ring: ChainRing, a, b: np.ndarray, d=1) -> np.ndarray:
+    """Entrywise a + d*b for integer multiples d, broadcast; the dtype must hold a + d*b."""
     if ring.backend == "int":
-        return (a + b) % ring.size
+        out = a + d * b
+        out %= ring.size
+        return out
     p = ring.p
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    shape = np.broadcast_shapes(np.shape(a), b.shape, np.shape(d))
+    out = np.zeros(shape, dtype=b.dtype)
     pw = 1
     for _ in range(ring.s):
-        out += ((a // pw + b // pw) % p) * pw
+        digit = a // pw % p + b // pw % p * d
+        digit %= p
+        digit *= pw
+        out += digit
         pw *= p
     return out
 
 
-class _MessageSpace:
-    """Mixed-radix layout of the message space, with vectorized inner blocks.
+_Digits = list[tuple[np.ndarray, int]]  # (row, radix) pairs, high digit first
 
-    Generator rows split into an outer prefix, whose coefficient offsets are
-    scaled on demand, and an inner suffix whose full span is precomputed as
-    one block of at most ``_BLOCK_ROWS`` codeword rows.  Scaled tables are
-    materialized only for the suffix, so memory stays bounded by the block
-    width regardless of ring size; callers cap the total beforehand.
-    """
+
+class _MessageSpace:
+    """A code's message space as base-p digit rows, with the table builder and kernel."""
 
     def __init__(self, code: LinearCode):
         ring = code.ring
+        p, q, n = ring.p, ring.size, code.n
         self.ring = ring
-        self.n = code.n
-        levels: list[int] = []
-        for level, k in enumerate(code.profile.counts):
-            levels.extend([level] * k)
-        self.rows = code.std.reduced.rows
-        # block-i coefficients range over the representatives of R/gamma^(s-i)R,
-        # which are exactly the codes below p**(s-i)
-        self.radices = [ring.p ** (ring.s - level) for level in levels]
-        self.total = 1
-        for r in self.radices:
-            self.total *= r
-        block = 1
-        cut = len(self.radices)
-        while cut > 0 and block * self.radices[cut - 1] <= _BLOCK_ROWS:
-            cut -= 1
-            block *= self.radices[cut]
-        self.cut = cut
-        self.block = block
-        base = np.zeros((1, self.n), dtype=np.int64)
-        for row, radix in zip(self.rows[cut:], self.radices[cut:]):
-            scaled = [[ring.mul(c, x) for x in row] for c in range(radix)]
-            table = np.array(scaled, dtype=np.int64).reshape(radix, self.n)
-            base = _vec_add(ring, base[:, None, :], table[None, :, :]).reshape(-1, self.n)
-        self.base = base
+        self.n = n
+        self.narrow = _narrowest(q)
+        self.wide = _narrowest(p * q)  # holds a + d*h for a digit d < p
+        self.table_rows = max(1, _BLOCK_CELLS // max(n, 1))
+        rows = code.std.reduced.rows
+        reduced = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+        levels = [level for level, k in enumerate(code.profile.counts) for _ in range(k)]
+        # gamma**m * g is g * p**m mod q in both backends: in the polynomial
+        # one it shifts the packed base-p coefficients up by m.
+        digits = [
+            reduced[j] * p**m % q
+            for j, level in enumerate(levels)
+            for m in reversed(range(ring.s - level))
+        ]
+        self.digits = np.array(digits, dtype=np.int64).reshape(len(digits), n)
+        self.total = p ** len(digits)
 
-    def offset_vector(self, outer: int) -> np.ndarray:
-        """Contribution of the outer coefficients for a given outer index."""
+    def _split(self, digits: _Digits) -> int:
+        """How many of the lowest ``digits`` span at most one table."""
+        low, span = 0, 1
+        while low < len(digits) and span * digits[-1 - low][1] <= self.table_rows:
+            span *= digits[-1 - low][1]
+            low += 1
+        return low
+
+    def table(self, high: _Digits, index: int, low: _Digits) -> np.ndarray:
+        """Words with the ``high`` digits at mixed-radix ``index`` and every value of ``low``.
+
+        Table rows run in message order.  The offset of the high digits is one
+        row; each low digit then multiplies the table by its radix.
+        """
         ring = self.ring
-        offset = [0] * self.n
-        for j in range(self.cut - 1, -1, -1):
-            outer, digit = divmod(outer, self.radices[j])
-            if digit:
-                row = self.rows[j]
-                for i in range(self.n):
-                    if row[i]:
-                        offset[i] = ring.add(offset[i], ring.mul(digit, row[i]))
-        return np.array(offset, dtype=np.int64)
+        words = np.zeros((1, self.n), dtype=self.wide)
+        for row, radix in reversed(high):
+            index, d = divmod(index, radix)
+            if d:
+                words = _vec_add(ring, words, row, d)
+        for row, radix in low:
+            values = np.arange(radix, dtype=self.wide)[:, None]
+            words = _vec_add(ring, words[:, None, :], row, values).reshape(-1, self.n)
+        return words.astype(self.narrow)
 
-    def blocks(self) -> Iterator[np.ndarray]:
-        """Codeword rows for every message index, in order, one block per outer index."""
-        for outer in range(self.total // self.block):
-            chunk = self.base
-            offset = self.offset_vector(outer)
-            if offset.any():
-                chunk = _vec_add(self.ring, chunk, offset[None, :])
-            yield chunk
+    def tables(self, digits: _Digits) -> Iterator[np.ndarray]:
+        """Every word of ``digits`` in message order, in tables within the budget."""
+        cut = len(digits) - self._split(digits)
+        high, low = digits[:cut], digits[cut:]
+        for index in range(prod(radix for _, radix in high)):
+            yield self.table(high, index, low)
+
+    def words(self) -> Iterator[np.ndarray]:
+        """Every codeword in message order."""
+        return self.tables([(h, self.ring.p) for h in self.digits.astype(self.wide)])
+
+    def weights(self) -> Iterator[np.ndarray]:
+        """Weights of every codeword, one flat array per kernel iteration."""
+        ring, n, p = self.ring, self.n, self.ring.p
+        negated = _vec_add(ring, 0, self.digits, ring.size - 1)  # -h == (q-1)*h
+        inner = [(h, p) for h in self.digits.astype(self.wide)]
+        outer = [(h, p) for h in negated.astype(self.wide)]
+        cut = len(inner) - self._split(inner)
+        chunks = 0
+        inner, outer = inner[cut:], outer[:cut]
+        if not inner and outer:
+            # The last digit's radix exceeds a table: the inner table spans
+            # [0, b) of it, and a chunk digit steps the offsets by b*h.
+            b = self.table_rows
+            chunks = -(-p // b)
+            inner = [(self.digits[-1].astype(self.wide), b)]
+            step = _vec_add(ring, 0, negated[-1], b).astype(self.wide)
+            outer[-1] = (step, chunks)
+        inner_table = self.table([], 0, inner)
+        inner_cols = np.ascontiguousarray(inner_table.T)
+        size = len(inner_table)
+        per = max(1, _BLOCK_CELLS // size)
+        counter = _narrowest(n + 1)
+        position = 0
+        for negs in self.tables(outer):
+            parts = -(-len(negs) // per)
+            for k in range(parts):
+                lo, hi = k * len(negs) // parts, (k + 1) * len(negs) // parts
+                grid = np.zeros((hi - lo, size), dtype=counter)
+                differs = np.empty(grid.shape, dtype=bool)
+                for col in range(n):
+                    np.not_equal(negs[lo:hi, col, None], inner_cols[col], out=differs)
+                    grid += differs
+                if chunks:
+                    # the last chunk of the split digit runs past p
+                    start = np.arange(position + lo, position + hi) % chunks * size
+                    yield grid[np.arange(size) < (p - start)[:, None]]
+                else:
+                    yield grid.ravel()
+            position += len(negs)
 
 
 def _check_cap(total: int, cap: int | None) -> None:
@@ -195,8 +272,7 @@ def weight_distribution(code: LinearCode, *, cap: int | None = None) -> WeightDi
         raise InvariantError("message space size differs from the cardinality formula")
     n = code.n
     hist = np.zeros(n + 1, dtype=np.int64)
-    for chunk in space.blocks():
-        weights = np.count_nonzero(chunk, axis=1)
+    for weights in space.weights():
         hist += np.bincount(weights, minlength=n + 1)
     return WeightDistribution(
         n=n,
@@ -218,8 +294,8 @@ def enumerate_codewords(code: LinearCode, *, cap: int | None = None) -> Iterator
     for pos, src in enumerate(perm):
         inv[src] = pos
     take = np.array(inv, dtype=np.intp) if perm else None
-    for chunk in space.blocks():
-        restored = chunk[:, take] if take is not None else chunk
+    for table in space.words():
+        restored = table[:, take] if take is not None else table
         for row in restored.tolist():
             yield tuple(row)
 

@@ -251,6 +251,26 @@ class TestCheck:
         assert out == ""
         assert "6 column subsets exceed the cap of 4" in err
 
+    @pytest.mark.parametrize("identity", ["doublecount", "subtypes"])
+    def test_all_nu_with_every_nu_over_subset_cap_exits_3(self, capsys, reference_file, identity):
+        status, out, err = run(
+            capsys, "check", reference_file, "--identity", identity, "--all-nu",
+            "--subset-cap", "0",
+        )
+        assert status == 3
+        assert out == ""
+        assert err.splitlines() == ["error: every nu exceeds the subset cap of 0"]
+
+    @pytest.mark.parametrize("identity", ["doublecount", "subtypes"])
+    def test_negative_subset_cap_exits_2(self, capsys, reference_file, identity):
+        status, out, err = run(
+            capsys, "check", reference_file, "--identity", identity, "--all-nu",
+            "--subset-cap", "-1",
+        )
+        assert status == 2
+        assert out == ""
+        assert "--subset-cap must be nonnegative" in err
+
     def test_subtypes_rejects_nu_zero(self, capsys, c1_file):
         status, _, err = run(capsys, "check", c1_file, "--identity", "subtypes", "--nu", "0")
         assert status == 2
@@ -317,6 +337,42 @@ class TestExitCodes:
         status, _, err = run(capsys, "card", str(path))
         assert status == 2
         assert "unknown backend" in err
+
+    @pytest.mark.parametrize(
+        ("doc", "message"),
+        [
+            ({"ring": {"p": 2, "s": True}, "n": 1, "generators": [[1]]}, "integer 's'"),
+            ({"ring": {"p": True, "s": 1}, "n": 1, "generators": [[1]]}, "integer 'p'"),
+            ({"ring": {"p": 2, "s": 2}, "n": 3, "generators": [[True, 0, 1]]}, "must be an int"),
+            (
+                {"ring": {"p": 2, "s": 2, "backend": "poly"}, "n": 1, "generators": [[[1, False]]]},
+                "coefficient array",
+            ),
+            ({"ring": {"p": 2, "s": 2}, "n": True, "generators": [[1]]}, "'n' must be"),
+        ],
+        ids=["ring-s", "ring-p", "int-element", "poly-coefficient", "n"],
+    )
+    def test_json_booleans_are_not_integers(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        status, out, err = run(capsys, "card", str(path))
+        assert status == 2
+        assert out == ""
+        assert message in err
+
+    def test_mac_rejects_boolean_counts(self, capsys, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text("[true, 3, 7, 5]")
+        status, out, err = run(
+            capsys,
+            "mac",
+            str(path),
+            "--p", "2", "--s", "2", "--n", "3",
+            "--card", "16", "--rank", "3", "--free-rank", "1",
+        )
+        assert status == 2
+        assert out == ""
+        assert "integers or decimal strings" in err
 
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "card", "/nonexistent/code.json")

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +20,13 @@ from chainring import (
     render_enumerator,
     weight_distribution,
 )
-from chainring.enumeration import DEFAULT_ENUMERATION_CAP, ENUMERATION_CAP_ENV
+from chainring import dual, mds_distribution
+from chainring.enumeration import (
+    _BLOCK_CELLS,
+    DEFAULT_ENUMERATION_CAP,
+    ENUMERATION_CAP_ENV,
+    _MessageSpace,
+)
 from oracles import brute_weight_counts
 
 Z4 = ChainRing(2, 2)
@@ -194,13 +204,13 @@ class TestDistributionValidation:
 
 
 class TestLargeScale:
-    """Sizes past the vector-block width, so the outer chunk loop runs."""
+    """Sizes past one table of words, so the kernel runs many iterations."""
 
     def test_full_space_over_z9_length_six(self):
         from math import comb
 
         code = code_from_generators(Z9, 6, identity_matrix(Z9, 6).rows)
-        assert code.cardinality == 531441  # several 2**16-row blocks
+        assert code.cardinality == 531441  # many kernel iterations
         dist = weight_distribution(code)
         assert dist.counts == tuple(comb(6, i) * 8**i for i in range(7))
 
@@ -233,3 +243,93 @@ class TestEnumeratorRendering:
     def test_zero_code_polynomial(self):
         dist = weight_distribution(code_from_generators(Z4, 2, []))
         assert render_enumerator(dist) == "X^2"
+
+
+def _systematic(ring, n, k, seed):
+    """A free code of rank k: [I_k | random], so |C| = q**k."""
+    rng = random.Random(seed)
+    return code_from_generators(
+        ring,
+        n,
+        [[int(i == j) for j in range(k)] + [rng.randrange(ring.size) for _ in range(n - k)]
+         for i in range(k)],
+    )
+
+
+class TestKernel:
+    """The compare kernel: memory budget, no radix cliff, message order."""
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            pytest.param(_systematic(Z4, 14, 10, 0), id="free-z4-n14-k10"),
+            pytest.param(dual(_systematic(ChainRing(3, 4, "poly"), 5, 2, 0)), id="dual-f3u4-n5-k2"),
+        ],
+    )
+    def test_traced_peak_stays_under_one_mib(self, code):
+        assert code.cardinality in (4**10, 81**3)
+        tracemalloc.start()
+        try:
+            weight_distribution(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("p, s", [(257, 2), (65537, 1)])
+    def test_large_radix_has_no_cliff(self, p, s):
+        ring = ChainRing(p, s)
+        code = code_from_generators(ring, 2, [(1, 3)])
+        expected = mds_distribution(2, 1, p, s)
+        assert weight_distribution(code).counts == expected.counts
+        least = min(code.cardinality, _BLOCK_CELLS // code.n)
+        sizes = [len(weights) for weights in _MessageSpace(code).weights()]
+        assert sum(sizes) == code.cardinality
+        assert min(sizes) >= least
+
+    @pytest.mark.parametrize(
+        "ring, rows",
+        [
+            (Z8, [(0, 2, 4, 1, 6), (0, 4, 0, 2, 2), (0, 0, 0, 4, 4)]),
+            (ChainRing(5, 2), [(0, 5, 1, 7), (0, 10, 0, 15), (0, 0, 0, 5)]),
+            (ChainRing(3, 2, "poly"), [(0, 3, 4, 2), (0, 0, 3, 6), (0, 1, 1, 1)]),
+            (F2U3, [(0, 2, 1, 5, 4), (0, 4, 0, 6, 2), (0, 0, 4, 4, 0)]),
+        ],
+        ids=["z8", "z25", "f3u2", "f2u3"],
+    )
+    def test_stream_keeps_message_order(self, ring, rows):
+        code = code_from_generators(ring, len(rows[0]), rows)
+        levels = [lv for lv, k in enumerate(code.profile.counts) for _ in range(k)]
+        reduced = code.std.reduced.rows
+        perm = code.std.column_permutation
+        expected = []
+        # first reduced row most significant, coefficients below p**(s - level)
+        for coeffs in product(*(range(ring.p ** (ring.s - lv)) for lv in levels)):
+            word = [0] * code.n
+            for c, row in zip(coeffs, reduced):
+                word = [ring.add(w, ring.mul(c, x)) for w, x in zip(word, row)]
+            original = [0] * code.n
+            for j, src in enumerate(perm):
+                original[src] = word[j]
+            expected.append(tuple(original))
+        assert len(set(expected)) == code.cardinality > 1
+        assert list(perm) != sorted(perm)
+        assert list(enumerate_codewords(code)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7]),
+        st.integers(1, 4),
+        st.data(),
+    )
+    def test_int_and_poly_agree_when_s_is_one(self, p, n, data):
+        rows = data.draw(
+            st.lists(st.lists(st.integers(0, p - 1), min_size=n, max_size=n), max_size=3)
+        )
+        counts = {
+            backend: weight_distribution(
+                code_from_generators(ChainRing(p, 1, backend), n, rows)
+            ).counts
+            for backend in ("int", "poly")
+        }
+        assert counts["int"] == counts["poly"] == brute_weight_counts(ChainRing(p, 1), rows, n)
