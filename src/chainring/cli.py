@@ -20,6 +20,7 @@ import json
 import random as _random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Any
 
@@ -27,6 +28,7 @@ from .code import LinearCode, classify, dual
 from .codefile import (
     CodeDocument,
     CodeFileError,
+    count_from_obj,
     distribution_to_obj,
     matrix_to_obj,
     parse_code_document,
@@ -89,11 +91,7 @@ def _parse_known(text: str | None) -> dict[int, int]:
 
 
 def _parse_counts(text: str, n: int) -> list[int]:
-    parts = [p.strip() for p in text.split(",")]
-    try:
-        counts = [int(p) for p in parts]
-    except ValueError as exc:
-        raise CodeFileError(f"distribution {text!r} is not a comma list of integers") from exc
+    counts = [count_from_obj(p.strip()) for p in text.split(",")]
     if len(counts) != n + 1:
         raise CodeFileError(f"distribution needs {n + 1} counts, got {len(counts)}")
     return counts
@@ -204,20 +202,16 @@ def _cmd_mac(args) -> tuple[Any, int]:
         raw = json.loads(_read_input(args.file))
     except json.JSONDecodeError as exc:
         raise CodeFileError(f"malformed JSON distribution: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise CodeFileError("malformed JSON distribution: nested too deeply") from exc
     if not isinstance(raw, list):
         raise CodeFileError("distribution input must be a JSON array")
-    if any(isinstance(x, bool) for x in raw):
-        raise CodeFileError("distribution entries must be integers or decimal strings")
-    try:
-        counts = tuple(int(x) for x in raw)
-    except (TypeError, ValueError) as exc:
-        raise CodeFileError("distribution entries must be integers or decimal strings") from exc
     dist = WeightDistribution(
         n=args.n,
-        counts=counts,
+        counts=tuple(count_from_obj(x) for x in raw),
         p=args.p,
         s=args.s,
-        card=int(args.card),
+        card=count_from_obj(args.card),
         rank=args.rank,
         free_rank=args.free_rank,
     )
@@ -459,9 +453,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so one instance serves every call
+# instead of a fresh graph of argparse objects (and their cyclic garbage).
+_parser = lru_cache(maxsize=1)(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
         payload, status = handler(args)

@@ -22,6 +22,7 @@ from .ring import BACKENDS, ChainRing
 __all__ = [
     "CodeDocument",
     "CodeFileError",
+    "count_from_obj",
     "distribution_to_obj",
     "element_from_obj",
     "element_to_obj",
@@ -40,6 +41,17 @@ class CodeFileError(ValueError):
 def _is_int(value: Any) -> bool:
     # JSON true/false decode to bool, which Python counts as an int
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def count_from_obj(obj: Any) -> int:
+    """A count given as a JSON int (not a boolean) or a string of ASCII digits."""
+    if _is_int(obj):
+        return obj
+    # str.isdigit alone also accepts digits of other scripts; int() would
+    # accept signs, spaces and underscores.
+    if isinstance(obj, str) and obj.isascii() and obj.isdigit():
+        return int(obj)
+    raise CodeFileError(f"counts must be integers or decimal strings, got {obj!r}")
 
 
 def ring_to_obj(ring: ChainRing) -> dict[str, Any]:
@@ -126,6 +138,8 @@ def parse_code_document(text: str) -> CodeDocument:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CodeFileError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise CodeFileError("malformed JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise CodeFileError("code file must contain a JSON object")
     if "ring" not in obj:

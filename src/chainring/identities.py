@@ -252,8 +252,8 @@ def double_count_check(
         raise ValueError(f"nu must lie in 0..{n}, got {nu}")
     ring = code.ring
     kernel_side = sum(
-        ring.size**nu // profile.module_size(ring.p)
-        for profile in _subset_profiles(code.parity_check(), nu, subset_cap)
+        ring.size**nu // profile.module_size(ring.p) * count
+        for profile, count in _subset_profiles(code.parity_check(), nu, subset_cap).items()
     )
     dist = distribution if distribution is not None else weight_distribution(code)
     codeword_side = sum(

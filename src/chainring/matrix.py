@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InvariantError
 from .ring import ChainRing, ElementLike, RingElement
@@ -153,28 +153,20 @@ class StandardForm:
     profile: TypeProfile
 
 
-def standard_form(matrix: RingMatrix) -> StandardForm:
-    """Reduce to block standard form by valuation-aware Gaussian elimination.
+def _eliminate(ring: ChainRing, work: list[list[int]], ncols: int) -> tuple[list[int], list[int]]:
+    """Reduce the rows of ``work`` to block standard form in place.
 
-    Levels are processed in increasing order of gamma-valuation.  At level i
-    the first remaining entry (row-major scan) of valuation exactly i becomes
-    a pivot: its column is swapped into the next pivot position, the row is
-    scaled so the pivot equals gamma**i, and the pivot column is cleared in
-    every other row to the extent possible (entries of earlier pivot rows are
-    reduced modulo gamma**i, everything else to zero).  Elimination never
-    lowers a remaining entry below the current level, so the produced blocks
-    sit on the diagonal in valuation order with zeros below and to the left.
+    Returns the column permutation and the type counts; the first
+    sum(counts) rows of ``work`` are then the reduced rows, the rest zero.
+    See ``standard_form`` for the pivot rule.
     """
-    ring = matrix.ring
-    s = ring.s
-    work = [list(row) for row in matrix.rows]
+    add, mul = ring.add, ring.mul
     nrows = len(work)
-    ncols = matrix.ncols
     perm = list(range(ncols))
-    counts = [0] * s
+    counts = [0] * ring.s
     piv = 0
 
-    for level in range(s):
+    for level in range(ring.s):
         while True:
             hit = None
             for r in range(piv, nrows):
@@ -197,11 +189,13 @@ def standard_form(matrix: RingMatrix) -> StandardForm:
             pivot_row = work[piv]
             scale = ring.inverse(ring.unit_part(pivot_row[piv]))
             if scale != 1:
-                work[piv] = pivot_row = [ring.mul(scale, x) for x in pivot_row]
+                work[piv] = pivot_row = [mul(scale, x) if x else 0 for x in pivot_row]
+            support = [(c, y) for c, y in enumerate(pivot_row) if y]
             for r2 in range(nrows):
                 if r2 == piv:
                     continue
-                entry = work[r2][piv]
+                row2 = work[r2]
+                entry = row2[piv]
                 if entry == 0:
                     continue
                 # entry == low + gamma**level * f; subtracting f times the
@@ -210,16 +204,34 @@ def standard_form(matrix: RingMatrix) -> StandardForm:
                 _, f = ring.split(entry, level)
                 if f == 0:
                     continue
-                row2 = work[r2]
-                work[r2] = [ring.sub(x, ring.mul(f, y)) for x, y in zip(row2, pivot_row)]
+                f = ring.neg(f)
+                for c2, y in support:
+                    row2[c2] = add(row2[c2], mul(f, y))
             counts[level] += 1
             piv += 1
 
     for r in range(piv, nrows):
         if any(work[r]):
             raise InvariantError("nonzero row survived all elimination levels")
+    return perm, counts
 
-    reduced = RingMatrix(ring, tuple(tuple(row) for row in work[:piv]), ncols)
+
+def standard_form(matrix: RingMatrix) -> StandardForm:
+    """Reduce to block standard form by valuation-aware Gaussian elimination.
+
+    Levels are processed in increasing order of gamma-valuation.  At level i
+    the first remaining entry (row-major scan) of valuation exactly i becomes
+    a pivot: its column is swapped into the next pivot position, the row is
+    scaled so the pivot equals gamma**i, and the pivot column is cleared in
+    every other row to the extent possible (entries of earlier pivot rows are
+    reduced modulo gamma**i, everything else to zero).  Elimination never
+    lowers a remaining entry below the current level, so the produced blocks
+    sit on the diagonal in valuation order with zeros below and to the left.
+    """
+    work = [list(row) for row in matrix.rows]
+    perm, counts = _eliminate(matrix.ring, work, matrix.ncols)
+    rank = sum(counts)
+    reduced = RingMatrix(matrix.ring, tuple(tuple(row) for row in work[:rank]), matrix.ncols)
     return StandardForm(reduced, tuple(perm), TypeProfile(tuple(counts)))
 
 
@@ -255,20 +267,118 @@ def submatrix(matrix: RingMatrix, indices: Sequence[int]) -> RingMatrix:
     return RingMatrix(matrix.ring, rows, len(picked))
 
 
-def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> Iterator[TypeProfile]:
-    """Canonical type of each nu-column submatrix, one reduction per subset.
+# A reduced column module: rows (j, e, gamma**e, support) in insertion order.
+# Each row is gamma**e at position j (kept implicit), zero at the pivots of
+# the rows before it, and of valuation >= e everywhere; support lists its
+# other nonzero entries as (position, code).  Up to unit scaling the rows
+# are a triangular, hence unimodular, basis, so the module's type is the
+# multiset of the levels e.
+_Module = tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
 
-    Subsets come in lexicographic order; nu = 0 yields the single empty
-    subset.  Raises CapExceededError when iteration starts, before any subset
-    is reduced, if comb(ncols, nu) exceeds the cap.
+
+def _insert(ring: ChainRing, module: _Module, counts: tuple[int, ...], column, keep: bool):
+    """The column module and its type counts after adding one column.
+
+    The column is reduced against each row in turn, unless its entry at a
+    row's pivot lies below that row's level (see ``_reshape``).  With
+    ``keep`` false only the counts are returned (the module is None), for
+    leaves of the walk.
     """
-    total = comb(matrix.ncols, nu)
+    add, mul = ring.add, ring.mul
+    v = list(column)
+    for t, (j, _, ge, support) in enumerate(module):
+        x = v[j]
+        if not x:
+            continue
+        f, low = divmod(x, ge)  # ring.split(x, e): x == low + gamma**e * f
+        if low:
+            return _reshape(ring, module, counts, t, v, keep)
+        v[j] = 0
+        f = ring.neg(f)
+        for i, y in support:
+            v[i] = add(v[i], mul(f, y))
+    # The first entry of least valuation becomes the new pivot.
+    j, e = -1, ring.s
+    for i, x in enumerate(v):
+        if x:
+            level = ring.valuation(x)
+            if level < e:
+                j, e = i, level
+                if e == 0:
+                    break
+    if j < 0:
+        return module, counts
+    counts = counts[:e] + (counts[e] + 1,) + counts[e + 1 :]
+    if not keep:
+        return None, counts
+    scale = ring.inverse(ring.unit_part(v[j]))
+    support = tuple((i, mul(scale, x)) for i, x in enumerate(v) if x and i != j)
+    return module + ((j, e, ring.gamma_pow(e), support),), counts
+
+
+def _reshape(ring: ChainRing, module: _Module, counts: tuple[int, ...], t: int, v, keep: bool):
+    """Add v, whose entry at the pivot of row t lies below that row's level.
+
+    The module changes shape.  Rows t onward and v are all zero at the pivots
+    of the rows before t, so those rows stay, and the rest is rebuilt by one
+    elimination: its block standard form rows, mapped back through the column
+    permutation, have the module's row shape and stay zero at those pivots.
+    """
+    width = len(v)
+    rows = []
+    counts = list(counts)
+    for j, e, ge, support in module[t:]:
+        row = [0] * width
+        row[j] = ge
+        for i, y in support:
+            row[i] = y
+        rows.append(row)
+        counts[e] -= 1
+    rows.append(v)
+    perm, tail = _eliminate(ring, rows, width)
+    counts = tuple(a + b for a, b in zip(counts, tail))
+    if not keep:
+        return None, counts
+    rebuilt = []
+    for i, e in enumerate(e for e, k in enumerate(tail) for _ in range(k)):
+        support = tuple((perm[c], x) for c, x in enumerate(rows[i]) if x and c != i)
+        rebuilt.append((perm[i], e, ring.gamma_pow(e), support))
+    return module[:t] + tuple(rebuilt), counts
+
+
+def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile, int]:
+    """Tally of the canonical type of every nu-column submatrix.
+
+    H_I has the type of the module its columns span in R^r (r = nrows).  The
+    subsets are walked depth first in lexicographic order, each node holding
+    the reduced column module of its prefix, so subsets with a common prefix
+    share its reduction.  Once the prefix spans all of R^r (t_0 = r), every
+    extension has the same type and the whole subtree is counted at once.
+    nu = 0 counts the single empty subset.  Raises CapExceededError, before
+    any column is reduced, if comb(ncols, nu) exceeds the cap.
+    """
+    ncols = matrix.ncols
+    total = comb(ncols, nu)
     if total > cap:
         raise CapExceededError(f"{total} column subsets exceed the cap of {cap}")
     ring = matrix.ring
-    for cols in combinations(range(matrix.ncols), nu):
-        rows = tuple(tuple(row[c] for c in cols) for row in matrix.rows)
-        yield standard_form(RingMatrix(ring, rows, nu)).profile
+    columns = [tuple(row[c] for row in matrix.rows) for c in range(ncols)]
+    full = (matrix.nrows,) + (0,) * (ring.s - 1)
+    tally: dict[tuple[int, ...], int] = {}
+    # Nodes: (first column left to pick, columns left to pick, module, counts).
+    stack = [(0, nu, (), (0,) * ring.s)]
+    while stack:
+        start, left, module, counts = stack.pop()
+        if counts == full:
+            tally[full] = tally.get(full, 0) + comb(ncols - start, left)
+        elif left == 0:
+            tally[counts] = tally.get(counts, 0) + 1
+        else:
+            # Children are pushed last first, so they are visited in lexicographic order.
+            for c in range(ncols - left, start - 1, -1):
+                child = _insert(ring, module, counts, columns[c], left > 1)
+                stack.append((c + 1, left - 1, *child))
+    return {TypeProfile(counts): k for counts, k in tally.items()}
 
 
 def count_submatrix_types(
@@ -276,15 +386,14 @@ def count_submatrix_types(
 ) -> dict[TypeProfile, int]:
     """Tally the canonical type of every nu-column submatrix.
 
-    Exhausts all column subsets of size nu; each submatrix is reduced and its
-    profile counted.  The counts always total comb(ncols, nu).
+    Covers all column subsets of size nu, through the depth-first walk of
+    ``_subset_profiles``: columns are reduced one at a time into the module
+    of their prefix, and a subtree whose prefix already spans R^r is counted
+    without visiting it.  The counts always total comb(ncols, nu).
     """
     if not 1 <= nu <= matrix.ncols:
         raise ValueError(f"nu must lie in 1..{matrix.ncols}, got {nu}")
-    tally: dict[TypeProfile, int] = {}
-    for profile in _subset_profiles(matrix, nu, cap):
-        tally[profile] = tally.get(profile, 0) + 1
-    return tally
+    return _subset_profiles(matrix, nu, cap)
 
 
 def rowspace_size(matrix: RingMatrix) -> int:

@@ -70,12 +70,20 @@ class ChainRing:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; expected one of {BACKENDS}")
-        if not isinstance(self.p, int) or not _is_prime(self.p):
+        if not isinstance(self.p, int) or self.p < 2:
             raise ValueError(f"p must be a prime integer, got {self.p!r}")
         if not isinstance(self.s, int) or self.s < 1:
             raise ValueError(f"s must be an integer >= 1, got {self.s!r}")
-        if self.p**self.s > MAX_RING_SIZE:
+        # Bounded before p**s and the trial division are computed: p >= 2,
+        # so any s past the bound's bit length is out of range too.
+        if (
+            self.p > MAX_RING_SIZE
+            or self.s >= MAX_RING_SIZE.bit_length()
+            or self.p**self.s > MAX_RING_SIZE
+        ):
             raise ValueError(f"ring size {self.p}**{self.s} exceeds the supported bound 2**31")
+        if not _is_prime(self.p):
+            raise ValueError(f"p must be a prime integer, got {self.p!r}")
 
     # -- structure ---------------------------------------------------------
 

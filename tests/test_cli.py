@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chainring.cli
 from chainring.cli import main
@@ -183,6 +187,73 @@ class TestMac:
         )
         assert status == 2
         assert "valid weight distribution" in err
+
+
+MAC_FLAGS = ("--p", "2", "--s", "2", "--n", "3", "--card", "16", "--rank", "3", "--free-rank", "1")
+
+
+class TestCounts:
+    """Counts are JSON ints (booleans excluded) or strings of ASCII digits."""
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["1.9", "1.0", "1e0", '"1_0"', '"+1"', '" 1"', '"1 "', '""', '"\\u0661"', "null", "[1]"],
+        ids=[
+            "float", "integral-float", "exponent", "underscore", "plus-sign", "leading-space",
+            "trailing-space", "empty", "non-ascii-digit", "null", "array",
+        ],
+    )
+    def test_mac_rejects_entry(self, capsys, tmp_path, entry):
+        path = tmp_path / "dist.json"
+        path.write_text(f"[{entry}, 3, 7, 5]")
+        status, out, err = run(capsys, "mac", str(path), *MAC_FLAGS)
+        assert status == 2
+        assert out == ""
+        assert "integers or decimal strings" in err
+
+    def test_mac_accepts_ints_and_digit_strings(self, capsys, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text('[1, "03", 7, "5"]')
+        status, out, _ = run(capsys, "mac", str(path), *MAC_FLAGS)
+        assert status == 0
+        assert json.loads(out) == ["1", "1", "1", "1"]
+
+    def test_mac_rejects_card_that_is_not_a_digit_string(self, capsys, tmp_path):
+        path = tmp_path / "dist.json"
+        path.write_text("[1, 3, 7, 5]")
+        flags = list(MAC_FLAGS)
+        flags[flags.index("--card") + 1] = "1_6"
+        status, out, err = run(capsys, "mac", str(path), *flags)
+        assert status == 2
+        assert out == ""
+        assert "integers or decimal strings" in err
+
+    @pytest.mark.parametrize(
+        "distribution",
+        [
+            "1,0,2_48,0,15376",
+            "+1,0,248,0,15376",
+            "1,0,248.0,0,15376",
+            "1,0,\u0662\u0664\u0668,0,15376",
+            "1,,248,0,15376",
+        ],
+        ids=["underscore", "plus-sign", "float", "non-ascii-digits", "empty"],
+    )
+    def test_check_distribution_rejects_entry(self, capsys, c1_file, distribution):
+        status, out, err = run(
+            capsys, "check", c1_file, "--identity", "new", "--nu", "3",
+            "--distribution", distribution,
+        )
+        assert status == 2
+        assert out == ""
+        assert "integers or decimal strings" in err
+
+    def test_check_distribution_accepts_padded_digit_strings(self, capsys, c1_file):
+        status, _, _ = run(
+            capsys, "check", c1_file, "--identity", "new", "--nu", "3",
+            "--distribution", "1, 0, 248, 0, 15376",
+        )
+        assert status == 0
 
 
 class TestCheck:
@@ -374,6 +445,17 @@ class TestExitCodes:
         assert out == ""
         assert "integers or decimal strings" in err
 
+    @pytest.mark.parametrize("command", ["card", "mac"])
+    def test_deeply_nested_json(self, capsys, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        flags = MAC_FLAGS if command == "mac" else ()
+        status, out, err = run(capsys, command, str(path), *flags)
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "nested too deeply" in err
+
     def test_missing_file(self, capsys):
         status, _, err = run(capsys, "card", "/nonexistent/code.json")
         assert status == 2
@@ -402,3 +484,109 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["wdist"])  # missing file argument
         assert exc.value.code == 2
+
+
+# -- malformed documents -----------------------------------------------------
+
+FUZZ_INT_DOC = {
+    "ring": {"p": 2, "s": 2, "backend": "int"},
+    "n": 3,
+    "generators": [[1, 0, 1], [0, 2, 0]],
+}
+FUZZ_POLY_DOC = {
+    "ring": {"p": 3, "s": 2, "backend": "poly"},
+    "n": 2,
+    "generators": [[[1, 0], [0, 2]]],
+}
+_DELETE = object()
+
+
+def _edited(doc, path, value):
+    """A deep copy of doc with the entry at path replaced, or deleted."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+def _at(doc, paths, values):
+    return st.tuples(paths, values).map(lambda edit: _edited(doc, *edit))
+
+
+# JSON values that are not integers (booleans and integral floats included)
+NOT_INT = st.one_of(
+    st.booleans(),
+    st.floats(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+NOT_LIST = st.one_of(st.integers(), st.floats(), st.text(max_size=3), st.none(), st.booleans())
+NOT_STR = st.one_of(st.integers(), st.booleans(), st.lists(st.text(), max_size=1))
+RAGGED_ROW = st.lists(st.integers(0, 3), max_size=6).filter(lambda row: len(row) != 3)
+BAD_POLY_ELEMENT = st.one_of(
+    NOT_LIST,
+    st.lists(NOT_INT, min_size=1, max_size=2),
+    st.lists(st.integers(0, 2), min_size=3, max_size=5),  # more coefficients than s = 2
+)
+INT_ELEMENT = st.tuples(st.just("generators"), st.integers(0, 1), st.integers(0, 2))
+POLY_ELEMENT = st.tuples(st.just("generators"), st.just(0), st.integers(0, 1))
+MISSING = st.sampled_from([("ring",), ("n",), ("generators",), ("ring", "p"), ("ring", "s")])
+ROW = st.sampled_from([("generators", 0), ("generators", 1)])
+BAD_P = st.sampled_from([-3, 0, 1, 4, 9, 2**31 + 11, 2**61 - 1])
+BAD_S = st.sampled_from([-1, 0, 32, 10**9])
+BAD_BACKEND = st.text(max_size=4).filter(lambda b: b not in ("int", "poly"))
+
+MALFORMED_DOCUMENTS = st.one_of(
+    # wrong JSON types
+    st.one_of(st.lists(st.integers(), max_size=2), st.integers(), st.text(max_size=3), st.none()),
+    _at(FUZZ_INT_DOC, st.sampled_from([("ring",), ("generators",)]), NOT_LIST),
+    _at(FUZZ_INT_DOC, st.sampled_from([("ring", "p"), ("ring", "s"), ("n",)]), NOT_INT),
+    _at(FUZZ_INT_DOC, st.just(("name",)), NOT_STR),
+    # missing keys
+    _at(FUZZ_INT_DOC, MISSING, st.just(_DELETE)),
+    # ragged rows
+    _at(FUZZ_INT_DOC, ROW, NOT_LIST | RAGGED_ROW),
+    # out-of-range rings and lengths
+    _at(FUZZ_INT_DOC, st.just(("ring", "p")), BAD_P),
+    _at(FUZZ_INT_DOC, st.just(("ring", "s")), BAD_S),
+    _at(FUZZ_INT_DOC, st.just(("ring", "backend")), BAD_BACKEND),
+    _at(FUZZ_INT_DOC, st.just(("n",)), st.integers(max_value=-1)),
+    # elements: booleans, floats and other non-integers; poly arrays too long
+    _at(FUZZ_INT_DOC, INT_ELEMENT, NOT_INT),
+    _at(FUZZ_POLY_DOC, POLY_ELEMENT, BAD_POLY_ELEMENT),
+)
+FUZZ_COMMANDS = (
+    ["card", "-"],
+    ["wdist", "-"],
+    ["check", "-", "--identity", "doublecount", "--nu", "1"],
+)
+
+
+class TestMalformedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(MALFORMED_DOCUMENTS)
+    def test_exit_2_with_one_error_line(self, doc):
+        # Integer-backend elements outside 0..q-1 are not malformed: they are
+        # reduced modulo q (see ChainRing.encode).
+        text = json.dumps(doc)
+        for argv in FUZZ_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            saved, sys.stdin = sys.stdin, io.StringIO(text)
+            try:
+                with redirect_stdout(out), redirect_stderr(err):
+                    status = main(argv)
+            finally:
+                sys.stdin = saved
+            assert status == 2, (argv, text)
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert "Traceback" not in err.getvalue()

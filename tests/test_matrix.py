@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chainring.matrix
 from chainring import (
     CapExceededError,
     ChainRing,
     RingMatrix,
     TypeProfile,
+    code_from_generators,
     count_submatrix_types,
+    double_count_check,
     identity_matrix,
     matmul,
     matrix_type,
@@ -38,6 +44,32 @@ def small_matrix(draw, rings=TINY_RINGS, max_rows=3, max_cols=4):
         for _ in range(nrows)
     )
     return RingMatrix(ring, rows, ncols)
+
+
+# Rings with room for several levels, on both backends.
+SCAN_RINGS = [Z4, ChainRing(2, 3), Z9, F2U2, ChainRing(2, 3, "poly"), ChainRing(3, 2, "poly")]
+
+
+@st.composite
+def nonunit_matrix(draw, max_rows=4, max_cols=6):
+    """Entries two thirds non-units (zero included), so columns often lower a
+    pivot's level, and one third any element, so prefixes also reach full rank."""
+    ring = draw(st.sampled_from(SCAN_RINGS))
+    nonunits = st.sampled_from([c for c in ring.elements() if ring.valuation(c) > 0])
+    entry = st.one_of(nonunits, nonunits, st.integers(0, ring.size - 1))
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rows = tuple(tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows))
+    return RingMatrix(ring, rows, ncols)
+
+
+def reduced_submatrix_tally(matrix: RingMatrix, nu: int) -> dict[TypeProfile, int]:
+    """Oracle: reduce every nu-column submatrix on its own."""
+    tally: dict[TypeProfile, int] = {}
+    for cols in combinations(range(1, matrix.ncols + 1), nu):
+        profile = standard_form(submatrix(matrix, cols)).profile
+        tally[profile] = tally.get(profile, 0) + 1
+    return tally
 
 
 def apply_permutation(matrix: RingMatrix, perm) -> RingMatrix:
@@ -107,6 +139,28 @@ class TestStandardForm:
         ]
         rng.shuffle(rows)
         transformed = RingMatrix(ring, tuple(rows), matrix.ncols)
+        assert standard_form(transformed).profile == standard_form(matrix).profile
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonunit_matrix(), st.randoms(use_true_random=False))
+    def test_profile_invariant_under_row_operations_and_column_permutations(self, matrix, rng):
+        # The type is that of the row space up to a permutation of
+        # coordinates, which the depth-first column scan relies on.
+        ring = matrix.ring
+        units = [c for c in ring.elements() if ring.valuation(c) == 0]
+        rows = [list(row) for row in matrix.rows]
+        for _ in range(rng.randrange(8)):
+            if len(rows) >= 2 and rng.random() < 0.6:
+                a, b = rng.sample(range(len(rows)), 2)
+                f = rng.randrange(ring.size)
+                rows[b] = [ring.add(x, ring.mul(f, y)) for x, y in zip(rows[b], rows[a])]
+            elif rows:
+                r, u = rng.randrange(len(rows)), rng.choice(units)
+                rows[r] = [ring.mul(u, x) for x in rows[r]]
+        perm = list(range(matrix.ncols))
+        rng.shuffle(perm)
+        operated = RingMatrix(ring, tuple(map(tuple, rows)), matrix.ncols)
+        transformed = apply_permutation(operated, perm)
         assert standard_form(transformed).profile == standard_form(matrix).profile
 
     @settings(max_examples=60, deadline=None)
@@ -197,11 +251,68 @@ class TestCountSubmatrixTypes:
     @settings(max_examples=40, deadline=None)
     @given(small_matrix(), st.data())
     def test_totals(self, matrix, data):
-        from math import comb
-
         nu = data.draw(st.integers(1, matrix.ncols))
         tally = count_submatrix_types(matrix, nu)
         assert sum(tally.values()) == comb(matrix.ncols, nu)
+
+    @settings(max_examples=150, deadline=None)
+    @given(nonunit_matrix())
+    def test_matches_reduction_of_every_submatrix(self, matrix):
+        for nu in range(1, matrix.ncols + 1):
+            assert count_submatrix_types(matrix, nu) == reduced_submatrix_tally(matrix, nu), nu
+
+    @settings(max_examples=60, deadline=None)
+    @given(nonunit_matrix(max_rows=3, max_cols=5))
+    def test_double_count_kernel_side_matches_reduction_of_every_submatrix(self, matrix):
+        ring, n = matrix.ring, matrix.ncols
+        code = code_from_generators(ring, n, matrix.rows)
+        parity = code.parity_check()
+        for nu in range(n + 1):
+            expected = sum(
+                count * ring.size**nu // profile.module_size(ring.p)
+                for profile, count in reduced_submatrix_tally(parity, nu).items()
+            )
+            assert double_count_check(code, nu).kernel_side == expected, nu
+
+    def test_later_column_lowers_a_pivot_level(self, monkeypatch):
+        # Columns (2,0) and (0,2) give two pivots of level 1; (1,1) has a unit
+        # at the first of them, so the module changes shape and is rebuilt.
+        reshaped = []
+        reshape = chainring.matrix._reshape
+
+        def spy(*args):
+            reshaped.append(args[3])
+            return reshape(*args)
+
+        monkeypatch.setattr(chainring.matrix, "_reshape", spy)
+        h = RingMatrix.build(Z4, [(2, 0, 1), (0, 2, 1)])
+        assert count_submatrix_types(h, 3) == {TypeProfile((1, 1)): 1}
+        assert count_submatrix_types(h, 2) == {TypeProfile((0, 2)): 1, TypeProfile((1, 1)): 2}
+        assert reshaped and set(reshaped) == {0}
+        for nu in (1, 2, 3):
+            assert count_submatrix_types(h, nu) == reduced_submatrix_tally(h, nu)
+
+    def test_full_rank_prefix_counts_its_subtree(self, monkeypatch):
+        # Once a prefix spans Z/4^2 no column is added to it, yet every
+        # subset is counted.
+        inserted_into = []
+        insert = chainring.matrix._insert
+
+        def spy(ring, module, counts, *args):
+            inserted_into.append(counts)
+            return insert(ring, module, counts, *args)
+
+        monkeypatch.setattr(chainring.matrix, "_insert", spy)
+        h = RingMatrix.build(Z4, [(1, 0, 2, 2, 0, 3), (0, 1, 2, 0, 2, 1)])
+        for nu in range(1, 7):
+            tally = count_submatrix_types(h, nu)
+            assert tally == reduced_submatrix_tally(h, nu)
+            assert sum(tally.values()) == comb(6, nu)
+        assert inserted_into and (2, 0) not in inserted_into
+
+    def test_matrix_without_rows(self):
+        h = RingMatrix(F2U2, (), 4)
+        assert count_submatrix_types(h, 2) == {TypeProfile((0, 0)): 6}
 
     def test_cap(self):
         m = RingMatrix(Z4, (tuple([1] * 30),), 30)
