@@ -198,6 +198,12 @@ def _cmd_wdist(args) -> tuple[Any, int]:
 
 
 def _cmd_mac(args) -> tuple[Any, int]:
+    ChainRing(args.p, args.s)  # the rules of a document's ring
+    if not 0 <= args.free_rank <= args.rank <= args.n:
+        raise CodeFileError(
+            "need 0 <= --free-rank <= --rank <= --n, got "
+            f"{args.free_rank}, {args.rank} and {args.n}"
+        )
     try:
         raw = json.loads(_read_input(args.file))
     except json.JSONDecodeError as exc:
@@ -372,6 +378,9 @@ def random_generator_rows(
 
 def _cmd_random(args) -> tuple[Any, int]:
     ring = ChainRing(args.p, args.s, args.backend)
+    for flag, value in (("--n", args.n), ("--rows", args.rows)):
+        if value < 0:
+            raise CodeFileError(f"{flag} must be nonnegative, got {value}")
     rows = random_generator_rows(ring, args.n, args.rows, args.seed)
     name = args.name or f"random-p{args.p}-s{args.s}-n{args.n}-r{args.rows}-seed{args.seed}"
     doc = CodeDocument(ring=ring, n=args.n, generators=rows, name=name)

@@ -15,17 +15,26 @@ first.  Under that packing the two backends share the same valuation,
 splitting and representative-range logic (dividing a code by p strips the
 lowest base-p digit in both rings); only add/neg/mul and unit inversion
 differ.
+
+Scalar add, neg and mul on rings of at most ``TABLE_RING_SIZE`` elements read
+a table, on either backend: one q x q table each for add and mul and one of q
+entries for neg, cached per (p, s, backend) and shared by equal rings.  Larger
+rings compute modulo p**s (integer backend) or digit by digit (polynomial
+backend).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "BACKENDS",
     "MAX_RING_SIZE",
+    "TABLE_RING_SIZE",
     "ChainRing",
     "RingElement",
     "gamma_decompose",
@@ -37,6 +46,11 @@ BACKENDS = ("int", "poly")
 # Scalar arithmetic stays in machine-word range; code-level counts elsewhere
 # use arbitrary precision.
 MAX_RING_SIZE = 1 << 31
+
+# Rings up to this size take add, neg and mul from tables.  At q = 2**8 the
+# add and mul tables hold 2**16 entries each, about 0.5 MB apiece, so the
+# cache of the last 8 rings' tables stays under 9 MB.
+TABLE_RING_SIZE = 1 << 8
 
 ElementLike = Union["RingElement", int, Sequence[int]]
 
@@ -54,6 +68,29 @@ def _is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+@lru_cache(maxsize=8)
+def _tables(p: int, s: int, backend: str) -> tuple[tuple, tuple, tuple]:
+    """The add, neg and mul tables of a ring: ``add[a][b]``, ``neg[a]``, ``mul[a][b]``."""
+    q = p**s
+    codes = np.arange(q, dtype=np.int64)
+    if backend == "int":
+        add = (codes[:, None] + codes) % q
+        neg = -codes % q
+        mul = codes[:, None] * codes % q
+    else:
+        weights = [p**k for k in range(s)]
+        digits = [codes // w % p for w in weights]  # coefficient k of every code
+        add = sum((d[:, None] + d) % p * w for d, w in zip(digits, weights))
+        neg = sum(-d % p * w for d, w in zip(digits, weights))
+        # Coefficient k of a product collects a_i * b_(k-i); degrees from s
+        # on vanish.
+        mul = sum(
+            sum(digits[i][:, None] * digits[k - i] for i in range(k + 1)) % p * w
+            for k, w in enumerate(weights)
+        )
+    return tuple(map(tuple, add.tolist())), tuple(neg.tolist()), tuple(map(tuple, mul.tolist()))
 
 
 @dataclass(frozen=True)
@@ -84,6 +121,19 @@ class ChainRing:
             raise ValueError(f"ring size {self.p}**{self.s} exceeds the supported bound 2**31")
         if not _is_prime(self.p):
             raise ValueError(f"p must be a prime integer, got {self.p!r}")
+        # Plain attributes, not fields: equality, hash and repr see (p, s,
+        # backend) only, and __reduce__ keeps the tables out of pickles.
+        add, neg, mul = (
+            _tables(self.p, self.s, self.backend)
+            if self.size <= TABLE_RING_SIZE
+            else (None, None, None)
+        )
+        object.__setattr__(self, "_add_table", add)
+        object.__setattr__(self, "_neg_table", neg)
+        object.__setattr__(self, "_mul_table", mul)
+
+    def __reduce__(self):
+        return ChainRing, (self.p, self.s, self.backend)
 
     # -- structure ---------------------------------------------------------
 
@@ -131,6 +181,9 @@ class ChainRing:
     # -- scalar arithmetic on codes ----------------------------------------
 
     def add(self, a: int, b: int) -> int:
+        table = self._add_table
+        if table is not None:
+            return table[a][b]
         if self.backend == "int":
             return (a + b) % self.size
         p = self.p
@@ -144,6 +197,9 @@ class ChainRing:
         return out
 
     def neg(self, a: int) -> int:
+        table = self._neg_table
+        if table is not None:
+            return table[a]
         if self.backend == "int":
             return (-a) % self.size
         p = self.p
@@ -159,6 +215,9 @@ class ChainRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        table = self._mul_table
+        if table is not None:
+            return table[a][b]
         if self.backend == "int":
             return (a * b) % self.size
         p, s = self.p, self.s

@@ -2,7 +2,9 @@
 
 Everything here avoids the library's reduction and message-space machinery:
 spans are built from full coefficient products with set deduplication,
-kernels and inverses by exhaustive scans.  Intended for small instances only.
+kernels and inverses by exhaustive scans.  Scalar add, neg and mul are
+recomputed from the definitions, without the ring's tables or digit loops.
+Intended for small instances only.
 """
 
 from __future__ import annotations
@@ -11,6 +13,40 @@ from collections import Counter
 from itertools import product
 
 from chainring import ChainRing
+
+
+def _coefficients(ring: ChainRing, code: int) -> list[int]:
+    """Base-p digits of a code, lowest first: the polynomial's coefficients."""
+    return [code // ring.p**k % ring.p for k in range(ring.s)]
+
+
+def _packed(ring: ChainRing, coefficients) -> int:
+    """Code of the polynomial with these coefficients, reduced mod p."""
+    return sum(c % ring.p * ring.p**k for k, c in enumerate(coefficients))
+
+
+def oracle_add(ring: ChainRing, a: int, b: int) -> int:
+    if ring.backend == "int":
+        return (a + b) % ring.size
+    return _packed(ring, [x + y for x, y in zip(_coefficients(ring, a), _coefficients(ring, b))])
+
+
+def oracle_neg(ring: ChainRing, a: int) -> int:
+    if ring.backend == "int":
+        return -a % ring.size
+    return _packed(ring, [-x for x in _coefficients(ring, a)])
+
+
+def oracle_mul(ring: ChainRing, a: int, b: int) -> int:
+    """Integer product mod p**s, or the convolution truncated below u**s."""
+    if ring.backend == "int":
+        return a * b % ring.size
+    xs, ys = _coefficients(ring, a), _coefficients(ring, b)
+    full = [0] * (2 * ring.s - 1)
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            full[i + j] += x * y
+    return _packed(ring, full[: ring.s])
 
 
 def brute_inverse(ring: ChainRing, code: int) -> int | None:

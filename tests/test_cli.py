@@ -188,6 +188,35 @@ class TestMac:
         assert status == 2
         assert "valid weight distribution" in err
 
+    # One case per rule: the ring's rules are those of a document's ring, and
+    # the type needs 0 <= free_rank <= rank <= n.
+    @pytest.mark.parametrize(
+        "p, s, rank, free_rank",
+        [
+            pytest.param(4, 1, 1, 1, id="p-not-prime"),
+            pytest.param(1, 1, 1, 1, id="p-below-2"),
+            pytest.param(2, 0, 1, 1, id="s-below-1"),
+            pytest.param(2, 40, 1, 1, id="ring-over-size-bound"),
+            pytest.param(2, 1, 1, -1, id="free-rank-negative"),
+            pytest.param(2, 1, 1, 2, id="free-rank-over-rank"),
+            pytest.param(2, 1, 3, 1, id="rank-over-n"),
+            pytest.param(2, 1, -3, 1, id="rank-negative"),
+        ],
+    )
+    def test_rejects_ring_or_type(self, capsys, tmp_path, p, s, rank, free_rank):
+        path = tmp_path / "dist.json"
+        path.write_text("[1,0,3]")
+        status, out, err = run(
+            capsys,
+            "mac",
+            str(path),
+            "--p", str(p), "--s", str(s), "--n", "2",
+            "--card", "4", "--rank", str(rank), "--free-rank", str(free_rank),
+        )
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
 
 MAC_FLAGS = ("--p", "2", "--s", "2", "--n", "3", "--card", "16", "--rank", "3", "--free-rank", "1")
 
@@ -391,6 +420,18 @@ class TestRandom:
         _, out2, _ = run(capsys, "random", "--p", "2", "--s", "2", "--n", "4",
                          "--rows", "2", "--seed", "2")
         assert out1 != out2
+
+    @pytest.mark.parametrize("flag", ["--n", "--rows"])
+    def test_negative_size_exits_2(self, capsys, flag):
+        sizes = {"--n": "3", "--rows": "2"}
+        sizes[flag] = "-2"
+        args = ["random", "--p", "2", "--s", "1", "--seed", "0"]
+        for name, value in sizes.items():
+            args += [name, value]
+        status, out, err = run(capsys, *args)
+        assert status == 2
+        assert out == ""
+        assert err == f"error: {flag} must be nonnegative, got -2\n"
 
 
 class TestExitCodes:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
 from chainring import ChainRing, gamma_decompose, unit_inverse
-from oracles import brute_inverse
+from chainring.ring import BACKENDS, TABLE_RING_SIZE
+from oracles import brute_inverse, oracle_add, oracle_mul, oracle_neg
 
 Z4 = ChainRing(2, 2)
 Z8 = ChainRing(2, 3)
@@ -240,3 +245,59 @@ class TestElementOps:
         assert Z8.gamma.value == 2
         assert F2U3.gamma.value == (0, 1, 0)
         assert ChainRing(3, 1).gamma.value == 0
+
+
+def _rings(low: int, high: int) -> list[ChainRing]:
+    """Every ring with low < p**s <= high, on both backends."""
+    primes = [p for p in range(2, high + 1) if all(p % f for f in range(2, p))]
+    return [
+        ChainRing(p, s, backend)
+        for p in primes
+        for s in range(1, high.bit_length())
+        if low < p**s <= high
+        for backend in BACKENDS
+    ]
+
+
+# Rings of at most TABLE_RING_SIZE elements read add, neg and mul from tables;
+# 2**9 is past the bound on both backends.
+ABOVE_TABLES = [ChainRing(2, 9, backend) for backend in BACKENDS]
+
+
+class TestTables:
+    @pytest.mark.parametrize("ring", _rings(1, 64), ids=str)
+    def test_every_pair_against_oracle(self, ring):
+        codes = ring.elements()
+        assert [ring.neg(a) for a in codes] == [oracle_neg(ring, a) for a in codes]
+        for a in codes:
+            assert [ring.add(a, b) for b in codes] == [oracle_add(ring, a, b) for b in codes]
+            assert [ring.mul(a, b) for b in codes] == [oracle_mul(ring, a, b) for b in codes]
+
+    @pytest.mark.parametrize("ring", _rings(64, TABLE_RING_SIZE) + ABOVE_TABLES, ids=str)
+    def test_sampled_pairs_against_oracle(self, ring):
+        rng = random.Random(str(ring))
+        for _ in range(200):
+            a, b = rng.randrange(ring.size), rng.randrange(ring.size)
+            assert ring.neg(a) == oracle_neg(ring, a)
+            assert ring.add(a, b) == oracle_add(ring, a, b)
+            assert ring.mul(a, b) == oracle_mul(ring, a, b)
+
+    def test_tables_stop_at_the_bound(self):
+        assert ChainRing(2, 8, "poly")._mul_table is not None
+        assert all(ring._mul_table is None for ring in ABOVE_TABLES)
+
+    def test_equal_rings_share_their_tables(self):
+        assert ChainRing(3, 4, "poly")._mul_table is ChainRing(3, 4, "poly")._mul_table
+
+    @pytest.mark.parametrize("ring", [Z4, F3U2, ChainRing(2, 8, "poly")] + ABOVE_TABLES, ids=str)
+    def test_equality_hash_and_pickle_see_only_the_fields(self, ring):
+        key = (ring.p, ring.s, ring.backend)
+        assert [f.name for f in fields(ChainRing)] == ["p", "s", "backend"]
+        assert ring == ChainRing(*key) and hash(ring) == hash(key)
+        assert repr(ring) == f"ChainRing(p={ring.p}, s={ring.s}, backend={ring.backend!r})"
+        data = pickle.dumps(ring)
+        assert len(data) < 100  # the tables stay out of the pickle
+        back = pickle.loads(data)
+        assert back == ring and hash(back) == hash(ring)
+        top = ring.size - 1
+        assert back.mul(top, top) == ring.mul(top, top) == oracle_mul(ring, top, top)
