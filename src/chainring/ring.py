@@ -18,9 +18,9 @@ differ.
 
 Scalar add, neg and mul on rings of at most ``TABLE_RING_SIZE`` elements read
 a table, on either backend: one q x q table each for add and mul and one of q
-entries for neg, cached per (p, s, backend) and shared by equal rings.  Larger
-rings compute modulo p**s (integer backend) or digit by digit (polynomial
-backend).
+entries for neg, built on first use, cached per (p, s, backend) and shared by
+equal rings.  Larger rings compute modulo p**s (integer backend) or digit by
+digit (polynomial backend).
 """
 
 from __future__ import annotations
@@ -47,10 +47,12 @@ BACKENDS = ("int", "poly")
 # use arbitrary precision.
 MAX_RING_SIZE = 1 << 31
 
-# Rings up to this size take add, neg and mul from tables.  At q = 2**8 the
-# add and mul tables hold 2**16 entries each, about 0.5 MB apiece, so the
-# cache of the last 8 rings' tables stays under 9 MB.
-TABLE_RING_SIZE = 1 << 8
+# Rings up to this size take add, neg and mul from tables: 81 = 3**4 is the
+# largest ring the benchmark's workloads run.  Above it a table still wins
+# per operation, but its build (13 ms and 1 MB for F_2[u]/(u^8)) is not
+# earned back by short calls.  At q = 81 the add and mul tables hold 6561
+# entries each, about 60 kB apiece.
+TABLE_RING_SIZE = 81
 
 ElementLike = Union["RingElement", int, Sequence[int]]
 
@@ -121,18 +123,10 @@ class ChainRing:
             raise ValueError(f"ring size {self.p}**{self.s} exceeds the supported bound 2**31")
         if not _is_prime(self.p):
             raise ValueError(f"p must be a prime integer, got {self.p!r}")
-        # Plain attributes, not fields: equality, hash and repr see (p, s,
-        # backend) only, and __reduce__ keeps the tables out of pickles.
-        add, neg, mul = (
-            _tables(self.p, self.s, self.backend)
-            if self.size <= TABLE_RING_SIZE
-            else (None, None, None)
-        )
-        object.__setattr__(self, "_add_table", add)
-        object.__setattr__(self, "_neg_table", neg)
-        object.__setattr__(self, "_mul_table", mul)
 
     def __reduce__(self):
+        # The constructor call: cached attributes, the tables among them,
+        # stay out of pickles.
         return ChainRing, (self.p, self.s, self.backend)
 
     # -- structure ---------------------------------------------------------
@@ -140,6 +134,21 @@ class ChainRing:
     @cached_property
     def size(self) -> int:
         return self.p**self.s
+
+    # Built on first use, not fields: equality, hash and repr see (p, s,
+    # backend) only.  None above TABLE_RING_SIZE.
+
+    @cached_property
+    def _add_table(self) -> tuple | None:
+        return _tables(self.p, self.s, self.backend)[0] if self.size <= TABLE_RING_SIZE else None
+
+    @cached_property
+    def _neg_table(self) -> tuple | None:
+        return _tables(self.p, self.s, self.backend)[1] if self.size <= TABLE_RING_SIZE else None
+
+    @cached_property
+    def _mul_table(self) -> tuple | None:
+        return _tables(self.p, self.s, self.backend)[2] if self.size <= TABLE_RING_SIZE else None
 
     @property
     def gamma_code(self) -> int:

@@ -259,9 +259,10 @@ def _rings(low: int, high: int) -> list[ChainRing]:
     ]
 
 
-# Rings of at most TABLE_RING_SIZE elements read add, neg and mul from tables;
-# 2**9 is past the bound on both backends.
-ABOVE_TABLES = [ChainRing(2, 9, backend) for backend in BACKENDS]
+# Rings of at most TABLE_RING_SIZE elements read add, neg and mul from tables.
+# Sampled: every ring with 64 < q <= 2**8, some with tables and most without,
+# and 2**9 on both backends.
+SAMPLED = _rings(64, 1 << 8) + [ChainRing(2, 9, backend) for backend in BACKENDS]
 
 
 class TestTables:
@@ -273,7 +274,7 @@ class TestTables:
             assert [ring.add(a, b) for b in codes] == [oracle_add(ring, a, b) for b in codes]
             assert [ring.mul(a, b) for b in codes] == [oracle_mul(ring, a, b) for b in codes]
 
-    @pytest.mark.parametrize("ring", _rings(64, TABLE_RING_SIZE) + ABOVE_TABLES, ids=str)
+    @pytest.mark.parametrize("ring", SAMPLED, ids=str)
     def test_sampled_pairs_against_oracle(self, ring):
         rng = random.Random(str(ring))
         for _ in range(200):
@@ -283,21 +284,31 @@ class TestTables:
             assert ring.mul(a, b) == oracle_mul(ring, a, b)
 
     def test_tables_stop_at_the_bound(self):
-        assert ChainRing(2, 8, "poly")._mul_table is not None
-        assert all(ring._mul_table is None for ring in ABOVE_TABLES)
+        for ring in _rings(1, 1 << 8):
+            tables = (ring._add_table, ring._neg_table, ring._mul_table)
+            assert all((t is not None) == (ring.size <= TABLE_RING_SIZE) for t in tables)
+
+    def test_tables_are_built_on_first_use(self):
+        ring = ChainRing(3, 4, "poly")
+        assert "_mul_table" not in vars(ring)
+        assert ring.mul(3, 27) == 0
+        assert "_mul_table" in vars(ring)
 
     def test_equal_rings_share_their_tables(self):
         assert ChainRing(3, 4, "poly")._mul_table is ChainRing(3, 4, "poly")._mul_table
 
-    @pytest.mark.parametrize("ring", [Z4, F3U2, ChainRing(2, 8, "poly")] + ABOVE_TABLES, ids=str)
+    @pytest.mark.parametrize(
+        "ring", [Z4, F3U2, ChainRing(3, 4, "poly"), ChainRing(2, 8, "poly"), ChainRing(2, 9)], ids=str
+    )
     def test_equality_hash_and_pickle_see_only_the_fields(self, ring):
         key = (ring.p, ring.s, ring.backend)
         assert [f.name for f in fields(ChainRing)] == ["p", "s", "backend"]
         assert ring == ChainRing(*key) and hash(ring) == hash(key)
         assert repr(ring) == f"ChainRing(p={ring.p}, s={ring.s}, backend={ring.backend!r})"
+        top = ring.size - 1
+        product = ring.mul(top, top)  # builds the tables, if the ring has any
         data = pickle.dumps(ring)
-        assert len(data) < 100  # the tables stay out of the pickle
+        assert len(data) < 100  # cached attributes stay out of the pickle
         back = pickle.loads(data)
         assert back == ring and hash(back) == hash(ring)
-        top = ring.size - 1
-        assert back.mul(top, top) == ring.mul(top, top) == oracle_mul(ring, top, top)
+        assert back.mul(top, top) == product == oracle_mul(ring, top, top)
