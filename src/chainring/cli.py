@@ -80,13 +80,11 @@ def _parse_known(text: str | None) -> dict[int, int]:
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
-            raise CodeFileError(f"known entry {part!r} is not of the form index=value")
-        idx, _, val = part.partition("=")
-        try:
-            known[int(idx)] = int(val)
-        except ValueError as exc:
-            raise CodeFileError(f"known entry {part!r} is not a pair of integers") from exc
+        idx, eq, val = (x.strip() for x in part.partition("="))
+        # the ASCII-digit rule of count_from_obj, which int() would relax
+        if not eq or not (idx.isascii() and idx.isdigit()):
+            raise CodeFileError(f"known entry {part!r} is not of the form index=count")
+        known[int(idx)] = count_from_obj(val)
     return known
 
 

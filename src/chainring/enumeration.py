@@ -16,21 +16,28 @@ digits, totally ordered with the last digit row varying fastest.  One
 vectorized builder (``_MessageSpace.table``) makes every table of words: one
 value of the high digit rows, every value of the low ones.
 
+Coefficient planes.  The builder only adds and takes integer multiples, so
+it works in the additive group of R**n: (Z/q)**n, or (Z/p)**(n*s) for
+F_p[u]/(u**s), whose digit rows are unpacked once into s coefficient planes
+mod p.  Both backends take one modular ``a + d*b`` (``_vec_add``) per digit,
+and a finished table is packed back into base-p element codes.
+
 Compare, don't add.  In any ring a + b == 0 exactly when a == -b.  The low
 digit rows span an inner table of words; the high ones give outer offsets,
-built negated.  Word (outer, inner) then has weight
-``count_nonzero(inner != -outer)``: one comparison per cell, with no modular
-addition and no backend branch.  Tables are stored in the narrowest unsigned
-dtype that holds the ring's element codes, and ``_vec_add`` runs only inside
-the builder.
+built negated (-h is (m-1)*h in planes mod m).  Word (outer, inner) then has
+weight ``count_nonzero(inner != -outer)``: one comparison per cell of the
+packed codes, with no modular addition.  Packed tables are stored in the
+narrowest unsigned dtype that holds the ring's element codes, and
+``_vec_add`` runs only inside the builder.
 
 Cell budget.  No array the enumeration allocates holds more than
-``_BLOCK_CELLS`` cells: word tables hold at most ``_BLOCK_CELLS // n`` words
-(one word when n exceeds the budget), and one kernel iteration compares a
-run of negated offsets with the inner table in a grid of at most
-``_BLOCK_CELLS`` words.  A digit whose radix p exceeds a table is split into
-contiguous chunks of its range, since [a, a+b)*h == a*h + [0, b)*h, so no
-ring falls back to a word per iteration.
+``_BLOCK_CELLS`` cells, counting plane cells: word tables hold at most
+``_BLOCK_CELLS // (n * planes)`` words (one word when a word has more cells
+than the budget), and one kernel iteration compares a run of negated
+offsets with the inner table in a grid of at most ``_BLOCK_CELLS`` words.  A
+digit whose radix p exceeds a table is split into contiguous chunks of its
+range, since [a, a+b)*h == a*h + [0, b)*h, so no ring falls back to a word
+per iteration.
 """
 
 from __future__ import annotations
@@ -44,7 +51,6 @@ import numpy as np
 
 from .code import LinearCode
 from .errors import CapExceededError, InvariantError
-from .ring import ChainRing
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -135,22 +141,10 @@ def _narrowest(bound: int) -> np.dtype:
     return np.min_scalar_type(bound - 1)
 
 
-def _vec_add(ring: ChainRing, a, b: np.ndarray, d=1) -> np.ndarray:
-    """Entrywise a + d*b for integer multiples d, broadcast; the dtype must hold a + d*b."""
-    if ring.backend == "int":
-        out = a + d * b
-        out %= ring.size
-        return out
-    p = ring.p
-    shape = np.broadcast_shapes(np.shape(a), b.shape, np.shape(d))
-    out = np.zeros(shape, dtype=b.dtype)
-    pw = 1
-    for _ in range(ring.s):
-        digit = a // pw % p + b // pw % p * d
-        digit %= p
-        digit *= pw
-        out += digit
-        pw *= p
+def _vec_add(m: int, a, b: np.ndarray, d=1) -> np.ndarray:
+    """Entrywise a + d*b mod m for integer multiples d, broadcast; the dtype must hold a + d*b."""
+    out = a + d * b
+    out %= m
     return out
 
 
@@ -163,11 +157,16 @@ class _MessageSpace:
     def __init__(self, code: LinearCode):
         ring = code.ring
         p, q, n = ring.p, ring.size, code.n
-        self.ring = ring
+        # words are n*s coefficient planes mod p for F_p[u]/(u**s), n planes mod q for Z/q
+        self.planes = ring.s if ring.backend == "poly" else 1
+        self.modulus = p if ring.backend == "poly" else q
+        self.p = p
         self.n = n
+        self.width = n * self.planes
         self.narrow = _narrowest(q)
-        self.wide = _narrowest(p * q)  # holds a + d*h for a digit d < p
-        self.table_rows = max(1, _BLOCK_CELLS // max(n, 1))
+        self.wide = _narrowest(p * self.modulus)  # holds a + d*h for a digit d < p
+        self.place = p ** np.arange(self.planes, dtype=self.narrow)
+        self.table_rows = max(1, _BLOCK_CELLS // max(self.width, 1))
         rows = code.std.reduced.rows
         reduced = np.array(rows, dtype=np.int64).reshape(len(rows), n)
         levels = [level for level, k in enumerate(code.profile.counts) for _ in range(k)]
@@ -178,7 +177,8 @@ class _MessageSpace:
             for j, level in enumerate(levels)
             for m in reversed(range(ring.s - level))
         ]
-        self.digits = np.array(digits, dtype=np.int64).reshape(len(digits), n)
+        digits = np.array(digits, dtype=np.int64).reshape(len(digits), n, 1)
+        self.digits = (digits // self.place % self.modulus).reshape(len(digits), self.width)
         self.total = p ** len(digits)
 
     def _split(self, digits: _Digits) -> int:
@@ -193,17 +193,20 @@ class _MessageSpace:
         """Words with the ``high`` digits at mixed-radix ``index`` and every value of ``low``.
 
         Table rows run in message order.  The offset of the high digits is one
-        row; each low digit then multiplies the table by its radix.
+        row; each low digit then multiplies the table by its radix.  The planes
+        are packed into element codes once, at the end.
         """
-        ring = self.ring
-        words = np.zeros((1, self.n), dtype=self.wide)
+        m = self.modulus
+        words = np.zeros((1, self.width), dtype=self.wide)
         for row, radix in reversed(high):
             index, d = divmod(index, radix)
             if d:
-                words = _vec_add(ring, words, row, d)
+                words = _vec_add(m, words, row, d)
         for row, radix in low:
             values = np.arange(radix, dtype=self.wide)[:, None]
-            words = _vec_add(ring, words[:, None, :], row, values).reshape(-1, self.n)
+            words = _vec_add(m, words[:, None, :], row, values).reshape(-1, self.width)
+        if self.planes > 1:
+            return words.reshape(-1, self.n, self.planes) @ self.place
         return words.astype(self.narrow)
 
     def tables(self, digits: _Digits) -> Iterator[np.ndarray]:
@@ -215,12 +218,12 @@ class _MessageSpace:
 
     def words(self) -> Iterator[np.ndarray]:
         """Every codeword in message order."""
-        return self.tables([(h, self.ring.p) for h in self.digits.astype(self.wide)])
+        return self.tables([(h, self.p) for h in self.digits.astype(self.wide)])
 
     def weights(self) -> Iterator[np.ndarray]:
         """Weights of every codeword, one flat array per kernel iteration."""
-        ring, n, p = self.ring, self.n, self.ring.p
-        negated = _vec_add(ring, 0, self.digits, ring.size - 1)  # -h == (q-1)*h
+        n, p, m = self.n, self.p, self.modulus
+        negated = _vec_add(m, 0, self.digits, m - 1)  # -h == (m-1)*h
         inner = [(h, p) for h in self.digits.astype(self.wide)]
         outer = [(h, p) for h in negated.astype(self.wide)]
         cut = len(inner) - self._split(inner)
@@ -232,7 +235,7 @@ class _MessageSpace:
             b = self.table_rows
             chunks = -(-p // b)
             inner = [(self.digits[-1].astype(self.wide), b)]
-            step = _vec_add(ring, 0, negated[-1], b).astype(self.wide)
+            step = _vec_add(m, 0, negated[-1], b).astype(self.wide)
             outer[-1] = (step, chunks)
         inner_table = self.table([], 0, inner)
         inner_cols = np.ascontiguousarray(inner_table.T)

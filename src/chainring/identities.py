@@ -163,17 +163,20 @@ def macwilliams_transform(dist: WeightDistribution) -> WeightDistribution:
     """
     n, card = dist.n, dist.card
     q = dist.p**dist.s
+    c = q - 1
     coeffs = [0] * (n + 1)
+    # Y-coefficients of (X + cY)^(n-i) * (X - Y)^i; the next i multiplies by
+    # (X - Y) and divides exactly by (X + cY), O(n) integer steps per row.
+    row = [binomial(n, k) * c**k for k in range(n + 1)]
     for i, a_i in enumerate(dist.counts):
-        if a_i == 0:
-            continue
-        # (X + (q-1)Y)^(n-i) * (X - Y)^i, coefficient of Y^k
-        for k in range(n + 1):
-            c = 0
-            for b in range(min(i, k) + 1):
-                t = binomial(i, b) * binomial(n - i, k - b) * (q - 1) ** (k - b)
-                c += -t if b & 1 else t
-            coeffs[k] += a_i * c
+        if a_i:
+            for k, r in enumerate(row):
+                coeffs[k] += a_i * r
+        if i < n:
+            quotient = [row[0]]
+            for r in row[1:n]:
+                quotient.append(r - c * quotient[-1])
+            row = [a - b for a, b in zip(quotient + [0], [0] + quotient)]
     dual_counts = []
     for k, v in enumerate(coeffs):
         if v % card:

@@ -3,14 +3,17 @@
 Everything here avoids the library's reduction and message-space machinery:
 spans are built from full coefficient products with set deduplication,
 kernels and inverses by exhaustive scans.  Scalar add, neg and mul are
-recomputed from the definitions, without the ring's tables or digit loops.
-Intended for small instances only.
+recomputed from the definitions, without the ring's tables or digit loops,
+and the MacWilliams transform by its closed triple sum.  Intended for small
+instances only.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from fractions import Fraction
 from itertools import product
+from math import comb
 
 from chainring import ChainRing
 
@@ -47,6 +50,22 @@ def oracle_mul(ring: ChainRing, a: int, b: int) -> int:
         for j, y in enumerate(ys):
             full[i + j] += x * y
     return _packed(ring, full[: ring.s])
+
+
+def oracle_macwilliams(dist) -> tuple[Fraction, ...]:
+    """Dual counts of a distribution: sum_i A_i [Y^k] (X + (q-1)Y)^(n-i) (X - Y)^i, over |C|.
+
+    Each coefficient is the triple sum over b of (-1)^b C(i, b) C(n-i, k-b)
+    (q-1)^(k-b); no row is derived from another.
+    """
+    n, q = dist.n, dist.p**dist.s
+    coeffs = [0] * (n + 1)
+    for i, a_i in enumerate(dist.counts):
+        for k in range(n + 1):
+            for b in range(min(i, k) + 1):
+                t = comb(i, b) * comb(n - i, k - b) * (q - 1) ** (k - b)
+                coeffs[k] += a_i * (-t if b & 1 else t)
+    return tuple(Fraction(v, dist.card) for v in coeffs)
 
 
 def brute_inverse(ring: ChainRing, code: int) -> int | None:

@@ -277,6 +277,42 @@ class TestCounts:
         assert out == ""
         assert "integers or decimal strings" in err
 
+    @pytest.mark.parametrize(
+        "known, message",
+        [
+            ("2=1_2", "integers or decimal strings"),
+            ("2=\u0661\u0662", "integers or decimal strings"),
+            ("2=+12", "integers or decimal strings"),
+            ("2=248.0", "integers or decimal strings"),
+            ("2=", "integers or decimal strings"),
+            ("+2=248", "index=count"),
+            ("\u0662=248", "index=count"),
+            ("0_2=248", "index=count"),
+            ("=248", "index=count"),
+            ("2:248", "index=count"),
+        ],
+        ids=[
+            "value-underscore", "value-non-ascii-digits", "value-plus-sign", "value-float",
+            "value-empty", "index-plus-sign", "index-non-ascii-digit", "index-underscore",
+            "index-empty", "no-equals-sign",
+        ],
+    )
+    def test_solve_rejects_known(self, capsys, c1_file, known, message):
+        status, out, err = run(
+            capsys, "wdist", c1_file, "--method", "solve", "--known", known, "--d", "2"
+        )
+        assert status == 2
+        assert out == ""
+        assert message in err
+        assert err.count("error:") == 1
+
+    def test_solve_accepts_padded_known(self, capsys, c1_file):
+        status, out, _ = run(
+            capsys, "wdist", c1_file, "--method", "solve", "--known", " 2 = 248 ,", "--d", "2"
+        )
+        assert status == 0
+        assert json.loads(out) == ["1", "0", "248", "0", "15376"]
+
     def test_check_distribution_accepts_padded_digit_strings(self, capsys, c1_file):
         status, _, _ = run(
             capsys, "check", c1_file, "--identity", "new", "--nu", "3",

@@ -263,6 +263,7 @@ class TestKernel:
         "code",
         [
             pytest.param(_systematic(Z4, 14, 10, 0), id="free-z4-n14-k10"),
+            pytest.param(_systematic(ChainRing(2, 2, "poly"), 14, 10, 0), id="free-f2u2-n14-k10"),
             pytest.param(dual(_systematic(ChainRing(3, 4, "poly"), 5, 2, 0)), id="dual-f3u4-n5-k2"),
         ],
     )
@@ -276,14 +277,33 @@ class TestKernel:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    @pytest.mark.parametrize("p, s", [(257, 2), (65537, 1)])
-    def test_large_radix_has_no_cliff(self, p, s):
-        ring = ChainRing(p, s)
+    @pytest.mark.parametrize(
+        "code",
+        [
+            pytest.param(_systematic(Z4, 14, 10, 0), id="z4-n14"),
+            pytest.param(_systematic(ChainRing(2, 8, "poly"), 4, 2, 0), id="f2u8-n4"),
+        ],
+    )
+    def test_word_tables_count_plane_cells(self, code):
+        space = _MessageSpace(code)
+        assert space.width == code.n * (code.ring.s if code.ring.backend == "poly" else 1)
+        sizes = [len(table) for table in space.words()]
+        assert sum(sizes) == code.cardinality
+        assert max(sizes) * space.width <= _BLOCK_CELLS
+
+    @pytest.mark.parametrize(
+        "p, s, backend",
+        [(257, 2, "int"), (65537, 1, "int"), (257, 2, "poly")],
+        ids=["257-2", "65537-1", "257-2-poly"],
+    )
+    def test_large_radix_has_no_cliff(self, p, s, backend):
+        ring = ChainRing(p, s, backend)
         code = code_from_generators(ring, 2, [(1, 3)])
         expected = mds_distribution(2, 1, p, s)
         assert weight_distribution(code).counts == expected.counts
-        least = min(code.cardinality, _BLOCK_CELLS // code.n)
-        sizes = [len(weights) for weights in _MessageSpace(code).weights()]
+        space = _MessageSpace(code)
+        least = min(code.cardinality, _BLOCK_CELLS // space.width)
+        sizes = [len(weights) for weights in space.weights()]
         assert sum(sizes) == code.cardinality
         assert min(sizes) >= least
 
@@ -333,3 +353,47 @@ class TestKernel:
             for backend in ("int", "poly")
         }
         assert counts["int"] == counts["poly"] == brute_weight_counts(ChainRing(p, 1), rows, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (2, 3), (3, 2), (5, 2)]),
+        st.integers(1, 5),
+        st.data(),
+    )
+    def test_coefficient_planes_match_brute_force(self, ps, n, data):
+        # Entries two thirds non-units, so rows of every level occur and the
+        # shifted digit rows gamma**m * g carry into higher planes.
+        ring = ChainRing(*ps, "poly")
+        nonunits = st.integers(0, ring.size // ring.p - 1).map(lambda c: c * ring.p)
+        entry = st.one_of(nonunits, nonunits, st.integers(0, ring.size - 1))
+        rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=3))
+        code = code_from_generators(ring, n, rows)
+        assert weight_distribution(code).counts == brute_weight_counts(ring, rows, n)
+
+    @pytest.mark.parametrize(
+        "ring, rows, counts",
+        [
+            (
+                ChainRing(2, 8, "poly"),
+                [(1, 3, 200, 77), (0, 2, 6, 130), (0, 0, 16, 48)],
+                (1, 3, 97, 10033, 514154),
+            ),
+            (ChainRing(2, 8, "poly"), [(1, 0, 91, 166), (0, 1, 37, 250)], (1, 0, 257, 762, 64516)),
+            (
+                ChainRing(17, 2, "poly"),
+                [(1, 0, 40, 17, 255), (0, 17, 34, 0, 68), (0, 0, 3, 5, 7)],
+                (1, 0, 288, 656, 100992, 1317920),
+            ),
+            (
+                ChainRing(3, 5, "poly"),
+                [(1, 100, 242, 161), (0, 3, 57, 240)],
+                (1, 0, 8, 304, 19370),
+            ),
+        ],
+        ids=["f2u8-three-levels", "f2u8-free", "f17u2-two-levels", "f3u5-two-levels"],
+    )
+    def test_many_planes_and_wide_planes_keep_histograms(self, ring, rows, counts):
+        # Histograms of the digit-by-digit builder that the planes replaced.
+        # On F_3[u]/(u^5) an unreduced plane would overflow the uint8 sums.
+        code = code_from_generators(ring, len(rows[0]), rows)
+        assert weight_distribution(code).counts == counts

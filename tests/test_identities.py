@@ -7,6 +7,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chainring import (
     ChainRing,
@@ -32,7 +33,7 @@ from chainring import (
     weight_distribution,
 )
 from chainring.identities import binomial
-from oracles import brute_weight_counts
+from oracles import brute_weight_counts, oracle_macwilliams
 
 Z4 = ChainRing(2, 2)
 Z9 = ChainRing(3, 2)
@@ -89,6 +90,42 @@ class TestMacWilliams:
         )
         with pytest.raises(ValueError, match="not a valid weight distribution"):
             macwilliams_transform(bad)
+
+    def test_negative_coefficient_rejected(self):
+        # divisible by |C| = 4, but the transform is (1, -1, 1)
+        bad = WeightDistribution(
+            n=2, counts=(1, 0, 3), p=2, s=1, card=4, rank=2, free_rank=2
+        )
+        with pytest.raises(ValueError, match="negative count"):
+            macwilliams_transform(bad)
+
+    def test_matches_triple_sum_oracle_on_extended_corpus(self, extended_corpus):
+        for entry in extended_corpus:
+            for dist in (entry.dist, entry.dual_dist):
+                assert macwilliams_transform(dist).counts == oracle_macwilliams(dist), entry.label
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([(2, 1), (2, 2), (3, 1), (2, 3), (3, 2), (5, 1)]),
+        st.sampled_from(["int", "poly"]),
+        st.integers(1, 6),
+        st.data(),
+    )
+    def test_matches_triple_sum_oracle_on_random_codes(self, ps, backend, n, data):
+        ring = ChainRing(*ps, backend)
+        element = st.integers(0, ring.size - 1)
+        rows = data.draw(st.lists(st.lists(element, min_size=n, max_size=n), max_size=3))
+        dist = weight_distribution(code_from_generators(ring, n, rows))
+        assert macwilliams_transform(dist).counts == oracle_macwilliams(dist)
+
+    def test_full_space_at_length_sixty_matches_oracle(self):
+        # every binary word of length 60: the dual is the zero code
+        dist = WeightDistribution(
+            n=60, counts=tuple(comb(60, i) for i in range(61)),
+            p=2, s=1, card=2**60, rank=60, free_rank=60,
+        )
+        out = macwilliams_transform(dist)
+        assert out.counts == oracle_macwilliams(dist) == (1,) + (0,) * 60
 
     def test_dual_context_fields(self):
         out = macwilliams_transform(reference_dist())
