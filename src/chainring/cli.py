@@ -81,10 +81,12 @@ def _parse_known(text: str | None) -> dict[int, int]:
         if not part:
             continue
         idx, eq, val = (x.strip() for x in part.partition("="))
-        # the ASCII-digit rule of count_from_obj, which int() would relax
         if not eq or not (idx.isascii() and idx.isdigit()):
             raise CodeFileError(f"known entry {part!r} is not of the form index=count")
-        known[int(idx)] = count_from_obj(val)
+        index = int(idx)
+        if index in known:
+            raise CodeFileError(f"known index {index} is given twice")
+        known[index] = count_from_obj(val)
     return known
 
 

@@ -20,24 +20,22 @@ Coefficient planes.  The builder only adds and takes integer multiples, so
 it works in the additive group of R**n: (Z/q)**n, or (Z/p)**(n*s) for
 F_p[u]/(u**s), whose digit rows are unpacked once into s coefficient planes
 mod p.  Both backends take one modular ``a + d*b`` (``_vec_add``) per digit,
-and a finished table is packed back into base-p element codes.
+and a finished table is packed back into base-p element codes, stored in the
+narrowest unsigned dtype that holds them.
 
 Compare, don't add.  In any ring a + b == 0 exactly when a == -b.  The low
 digit rows span an inner table of words; the high ones give outer offsets,
-built negated (-h is (m-1)*h in planes mod m).  Word (outer, inner) then has
-weight ``count_nonzero(inner != -outer)``: one comparison per cell of the
-packed codes, with no modular addition.  Packed tables are stored in the
-narrowest unsigned dtype that holds the ring's element codes, and
-``_vec_add`` runs only inside the builder.
+built negated (-h is (m-1)*h mod m).  Word (outer, inner) then has weight
+``count_nonzero(inner != -outer)``: one comparison per cell of the packed
+codes, with no modular addition.
 
 Cell budget.  No array the enumeration allocates holds more than
-``_BLOCK_CELLS`` cells, counting plane cells: word tables hold at most
-``_BLOCK_CELLS // (n * planes)`` words (one word when a word has more cells
-than the budget), and one kernel iteration compares a run of negated
-offsets with the inner table in a grid of at most ``_BLOCK_CELLS`` words.  A
-digit whose radix p exceeds a table is split into contiguous chunks of its
-range, since [a, a+b)*h == a*h + [0, b)*h, so no ring falls back to a word
-per iteration.
+``_BLOCK_CELLS`` cells, plane cells included: word tables hold at most
+``_BLOCK_CELLS // width`` words of n*planes cells (one word when a word is
+larger), and one kernel iteration compares a run of negated offsets with the
+inner table in a grid of at most ``_BLOCK_CELLS`` words.  A digit whose radix
+p exceeds a table is split into contiguous chunks of its range, since
+[a, a+b)*h == a*h + [0, b)*h, so no ring falls back to a word per iteration.
 """
 
 from __future__ import annotations
@@ -157,7 +155,6 @@ class _MessageSpace:
     def __init__(self, code: LinearCode):
         ring = code.ring
         p, q, n = ring.p, ring.size, code.n
-        # words are n*s coefficient planes mod p for F_p[u]/(u**s), n planes mod q for Z/q
         self.planes = ring.s if ring.backend == "poly" else 1
         self.modulus = p if ring.backend == "poly" else q
         self.p = p
@@ -193,8 +190,7 @@ class _MessageSpace:
         """Words with the ``high`` digits at mixed-radix ``index`` and every value of ``low``.
 
         Table rows run in message order.  The offset of the high digits is one
-        row; each low digit then multiplies the table by its radix.  The planes
-        are packed into element codes once, at the end.
+        row; each low digit then multiplies the table by its radix.  Planes are packed last.
         """
         m = self.modulus
         words = np.zeros((1, self.width), dtype=self.wide)

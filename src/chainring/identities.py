@@ -163,19 +163,17 @@ def macwilliams_transform(dist: WeightDistribution) -> WeightDistribution:
     """
     n, card = dist.n, dist.card
     q = dist.p**dist.s
-    c = q - 1
     coeffs = [0] * (n + 1)
-    # Y-coefficients of (X + cY)^(n-i) * (X - Y)^i; the next i multiplies by
-    # (X - Y) and divides exactly by (X + cY), O(n) integer steps per row.
-    row = [binomial(n, k) * c**k for k in range(n + 1)]
+    # Y-coefficients of (X + (q-1)Y)^(n-i) (X - Y)^i: the next i multiplies by
+    # (X - Y) and divides exactly by (X + (q-1)Y), in O(n) integer steps.
+    row = [binomial(n, k) * (q - 1) ** k for k in range(n + 1)]
     for i, a_i in enumerate(dist.counts):
-        if a_i:
-            for k, r in enumerate(row):
-                coeffs[k] += a_i * r
+        for k, r in enumerate(row):
+            coeffs[k] += a_i * r
         if i < n:
             quotient = [row[0]]
             for r in row[1:n]:
-                quotient.append(r - c * quotient[-1])
+                quotient.append(r - (q - 1) * quotient[-1])
             row = [a - b for a, b in zip(quotient + [0], [0] + quotient)]
     dual_counts = []
     for k, v in enumerate(coeffs):

@@ -290,11 +290,12 @@ class TestCounts:
             ("0_2=248", "index=count"),
             ("=248", "index=count"),
             ("2:248", "index=count"),
+            ("2=248,02=12", "given twice"),
         ],
         ids=[
             "value-underscore", "value-non-ascii-digits", "value-plus-sign", "value-float",
             "value-empty", "index-plus-sign", "index-non-ascii-digit", "index-underscore",
-            "index-empty", "no-equals-sign",
+            "index-empty", "no-equals-sign", "index-twice",
         ],
     )
     def test_solve_rejects_known(self, capsys, c1_file, known, message):
