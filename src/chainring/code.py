@@ -2,9 +2,12 @@
 
 A code is stored through the standard form of a generator matrix together
 with the column permutation that produced it; user-facing vectors are always
-reported in the original coordinates.  The parity-check matrix is built
-block-wise in systematic form and verified against the generators before it
-is cached.
+reported in the original coordinates.  The parity-check matrix is built in
+systematic form, one row per back-substitution on the standard-form generator
+rows: start from a unit vector e_c and, walking the generator rows last first,
+set the entry at each row's pivot so that the row (divided by its power of
+gamma) is orthogonal to the vector.  It is verified against the generators
+before it is cached.
 """
 
 from __future__ import annotations
@@ -59,10 +62,8 @@ class LinearCode:
 
     def generator_matrix(self) -> RingMatrix:
         """Reduced generator matrix with columns restored to original order."""
-        perm = self.std.column_permutation
-        rows = tuple(
-            tuple(row[j] for j in _inverse_positions(perm)) for row in self.std.reduced.rows
-        )
+        inv = _inverse_positions(self.std.column_permutation)
+        rows = tuple(tuple(row[j] for j in inv) for row in self.std.reduced.rows)
         return RingMatrix(self.ring, rows, self.n)
 
     def parity_check(self) -> RingMatrix:
@@ -72,15 +73,8 @@ class LinearCode:
         produce the same immutable matrix, so concurrent readers are safe.
         """
         if self._parity is None:
-            systematic = _systematic_parity_rows(self)
-            _verify_orthogonal(self.std.reduced, systematic, self.ring)
-            perm = self.std.column_permutation
-            rows = []
-            for hrow in systematic:
-                out = [0] * self.n
-                for j, src in enumerate(perm):
-                    out[src] = hrow[j]
-                rows.append(tuple(out))
+            rows = _systematic_parity_rows(self)
+            _verify_orthogonal(self.generator_matrix(), rows, self.ring)
             self._parity = RingMatrix(self.ring, tuple(rows), self.n)
         return self._parity
 
@@ -130,95 +124,42 @@ def code_from_generators(
 
 # -- systematic parity check -------------------------------------------------
 #
-# With generator blocks A[a][b] (a < b <= s, where column block s collects the
-# n-K non-pivot columns and A[a][a] is an identity), the parity check in the
-# same permuted coordinates is assembled from blocks B[i][j] satisfying
-#
-#   B[i][j] = -sum_{k=i+1}^{j-1} B[i][k] * A[s-j][s-k]^T  -  A[s-j][s-i]^T,
-#
-# computed in order of increasing j - i (the sum is empty for j == i+1).
-# Block row i carries a factor gamma**i, an identity of size k_{s-i} on the
-# diagonal and zeros to its right.
+# Row block i of H (i = 0..s-1) has one row per column c of generator block
+# s-i, where block s collects the n-K non-pivot columns.  The row is
+# gamma**i * x, with x found by back-substitution: x starts as e_c, and for
+# each generator row g of a block a < s-i, last row first, x at g's pivot
+# becomes -(g / gamma**a) . x.  A generator row is zero at the pivots of the
+# rows before it, so later steps keep the earlier ones orthogonal to x; rows
+# of blocks a >= s-i are divisible by gamma**(s-i), which gamma**i kills.
 
 
-def _grid_transpose(grid: list[list[int]], ncols: int) -> list[list[int]]:
-    return [[row[c] for row in grid] for c in range(ncols)]
-
-
-def _systematic_parity_rows(code: LinearCode) -> list[list[int]]:
-    ring = code.ring
-    s = ring.s
-    n = code.n
-    counts = list(code.profile.counts)
-    rank = sum(counts)
-    width = counts + [n - rank]  # column-block widths, block index 0..s
-    offsets = [0]
-    for w in width:
-        offsets.append(offsets[-1] + w)
-
-    reduced = code.std.reduced.rows
-    row_offsets = [0]
-    for k in counts:
-        row_offsets.append(row_offsets[-1] + k)
-
-    def gen_block(a: int, b: int) -> list[list[int]]:
-        # Unscaled generator block: entries of block-row a divided by gamma**a.
-        if a == b:
-            return [[1 if i == j else 0 for j in range(width[a])] for i in range(width[a])]
-        rows = []
-        for r in range(row_offsets[a], row_offsets[a] + counts[a]):
-            src = reduced[r]
-            rows.append(
-                [ring.split(src[c], a)[1] for c in range(offsets[b], offsets[b] + width[b])]
-            )
-        return rows
-
-    blocks: dict[tuple[int, int], list[list[int]]] = {}
-    for diff in range(1, s + 1):
-        for i in range(0, s + 1 - diff):
-            j = i + diff
-            acc = [
-                [ring.neg(x) for x in row]
-                for row in _grid_transpose(gen_block(s - j, s - i), width[s - i])
-            ]
-            for k in range(i + 1, j):
-                # B[i][k] * A[s-j][s-k]^T: row r of B against row c of A
-                gen = gen_block(s - j, s - k)
-                term = [[_dot(ring, brow, grow) for grow in gen] for brow in blocks[(i, k)]]
-                for r in range(width[s - i]):
-                    row = acc[r]
-                    trow = term[r]
-                    for c in range(width[s - j]):
-                        row[c] = ring.sub(row[c], trow[c])
-            blocks[(i, j)] = acc
-
-    rows: list[list[int]] = []
+def _systematic_parity_rows(code: LinearCode) -> list[tuple[int, ...]]:
+    ring, s = code.ring, code.ring.s
+    perm = code.std.column_permutation
+    levels = [a for a, k in enumerate(code.profile.counts) for _ in range(k)]
+    levels += [s] * (code.n - len(levels))  # block s: the non-pivot columns
+    # (pivot column, level a, generator row / gamma**a) in original coordinates
+    divided = [
+        (pivot, a, [ring.split(x, a)[1] for x in row])
+        for pivot, a, row in zip(perm, levels, code.generator_matrix().rows)
+    ]
+    rows = []
     for i in range(s):
-        block_rows = width[s - i]
-        if block_rows == 0:
-            continue
+        earlier = [(pivot, row) for pivot, a, row in reversed(divided) if a < s - i]
         g = ring.gamma_pow(i)
-        out = [[0] * n for _ in range(block_rows)]
-        for m in range(s + 1):
-            j = s - m
-            if j < i or width[m] == 0:
+        for c, a in zip(perm, levels):
+            if a != s - i:
                 continue
-            sub = blocks[(i, j)] if j > i else None
-            for r in range(block_rows):
-                orow = out[r]
-                for c in range(width[m]):
-                    if sub is None:
-                        entry = 1 if r == c else 0
-                    else:
-                        entry = sub[r][c]
-                    if entry:
-                        orow[offsets[m] + c] = ring.mul(g, entry)
-        rows.extend(out)
+            x = [0] * code.n
+            x[c] = 1
+            for pivot, row in earlier:
+                x[pivot] = ring.neg(_dot(ring, row, x))
+            rows.append(tuple(ring.mul(g, v) if v else 0 for v in x))
     return rows
 
 
 def _verify_orthogonal(
-    generators: RingMatrix, parity_rows: list[list[int]], ring: ChainRing
+    generators: RingMatrix, parity_rows: list[tuple[int, ...]], ring: ChainRing
 ) -> None:
     if any(_dot(ring, grow, hrow) for grow in generators.rows for hrow in parity_rows):
         raise InvariantError("generator and parity-check rows are not orthogonal")

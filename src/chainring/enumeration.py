@@ -47,7 +47,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .code import LinearCode
+from .code import LinearCode, _inverse_positions
 from .errors import CapExceededError, InvariantError
 
 __all__ = [
@@ -289,10 +289,7 @@ def enumerate_codewords(code: LinearCode, *, cap: int | None = None) -> Iterator
     _check_cap(code.cardinality, cap)
     space = _MessageSpace(code)
     perm = code.std.column_permutation
-    inv = [0] * len(perm)
-    for pos, src in enumerate(perm):
-        inv[src] = pos
-    take = np.array(inv, dtype=np.intp) if perm else None
+    take = np.array(_inverse_positions(perm), dtype=np.intp) if perm else None
     for table in space.words():
         restored = table[:, take] if take is not None else table
         for row in restored.tolist():

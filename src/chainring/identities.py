@@ -445,6 +445,8 @@ def _complete(
             got = sum(coeffs[l] * known[l] for l in known)
             if got != b:
                 raise ValueError("inconsistent inputs: known values violate the system")
+    if ctx.d is not None and counts[ctx.d] == 0:
+        raise ValueError(f"A_{ctx.d} = 0 contradicts minimum distance {ctx.d}")
     try:
         return WeightDistribution(
             n=ctx.n,

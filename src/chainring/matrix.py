@@ -8,7 +8,6 @@ subsets that tallies submatrix types, and the row-space cardinality formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 from typing import Iterable, Sequence
 
@@ -70,9 +69,6 @@ class RingMatrix:
 
     def entry(self, r: int, c: int) -> RingElement:
         return RingElement(self.ring, self.rows[r][c])
-
-    def to_values(self) -> list[list]:
-        return [[self.ring.decode(code) for code in row] for row in self.rows]
 
     def transpose(self) -> RingMatrix:
         cols = tuple(tuple(row[c] for row in self.rows) for c in range(self.ncols))

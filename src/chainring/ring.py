@@ -195,15 +195,7 @@ class ChainRing:
             return table[a][b]
         if self.backend == "int":
             return (a + b) % self.size
-        p = self.p
-        out = 0
-        pw = 1
-        for _ in range(self.s):
-            out += ((a % p) + (b % p)) % p * pw
-            a //= p
-            b //= p
-            pw *= p
-        return out
+        return self._pack([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg(self, a: int) -> int:
         table = self._neg_table
@@ -211,14 +203,7 @@ class ChainRing:
             return table[a]
         if self.backend == "int":
             return (-a) % self.size
-        p = self.p
-        out = 0
-        pw = 1
-        for _ in range(self.s):
-            out += (-(a % p)) % p * pw
-            a //= p
-            pw *= p
-        return out
+        return self._pack([-x for x in self.decode(a)])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -229,28 +214,14 @@ class ChainRing:
             return table[a][b]
         if self.backend == "int":
             return (a * b) % self.size
-        p, s = self.p, self.s
-        digits_a = []
-        t = a
-        for _ in range(s):
-            digits_a.append(t % p)
-            t //= p
+        s = self.s
+        digits_b = self.decode(b)
         out = [0] * s
-        for i, x in enumerate(digits_a):
-            if x == 0:
-                continue
-            t = b
-            for j in range(s - i):
-                d = t % p
-                if d:
-                    out[i + j] = (out[i + j] + x * d) % p
-                t //= p
-        code = 0
-        pw = 1
-        for d in out:
-            code += d * pw
-            pw *= p
-        return code
+        for i, x in enumerate(self.decode(a)):
+            if x:
+                for j in range(s - i):
+                    out[i + j] += x * digits_b[j]
+        return self._pack(out)
 
     def valuation(self, a: int) -> int:
         """Largest j with gamma**j dividing a; s for a == 0.
@@ -284,31 +255,22 @@ class ChainRing:
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a unit."""
-        if self.valuation(a) != 0:
+        if a % self.p == 0:  # gamma divides a: its lowest base-p digit is zero
             raise ValueError(f"{self.decode(a)!r} is not a unit in {self}")
         if self.backend == "int":
             return pow(a, -1, self.size)
         # Triangular solve for b with a*b == 1: the constant coefficient is
         # inverted in F_p, higher coefficients follow one at a time.
         p, s = self.p, self.s
-        da = []
-        t = a
-        for _ in range(s):
-            da.append(t % p)
-            t //= p
+        da = self.decode(a)
         inv0 = pow(da[0], p - 2, p)
-        out = [inv0] + [0] * (s - 1)
+        out = [inv0]
         for k in range(1, s):
             acc = 0
             for i in range(1, k + 1):
-                acc = (acc + da[i] * out[k - i]) % p
-            out[k] = (-inv0 * acc) % p
-        code = 0
-        pw = 1
-        for d in out:
-            code += d * pw
-            pw *= p
-        return code
+                acc += da[i] * out[k - i]
+            out.append(-inv0 * acc % p)
+        return self._pack(out)
 
     # -- encoding ------------------------------------------------------------
 
@@ -334,12 +296,7 @@ class ChainRing:
         if isinstance(value, (list, tuple)):
             if len(value) > self.s:
                 raise ValueError(f"too many coefficients for {self}: {value!r}")
-            code = 0
-            pw = 1
-            for c in value:
-                code += (int(c) % self.p) * pw
-                pw *= self.p
-            return code
+            return self._pack([int(c) for c in value])
         raise TypeError(f"cannot encode {value!r} as an element of {self}")
 
     def decode(self, code: int):
@@ -352,6 +309,14 @@ class ChainRing:
             out.append(code % p)
             code //= p
         return tuple(out)
+
+    def _pack(self, digits: Sequence[int]) -> int:
+        """Code of a coefficient list, lowest degree first, each reduced mod p."""
+        p = self.p
+        code = 0
+        for d in reversed(digits):
+            code = code * p + d % p
+        return code
 
     def element(self, value: ElementLike) -> RingElement:
         return RingElement(self, self.encode(value))
@@ -380,14 +345,6 @@ class RingElement:
     @property
     def valuation(self) -> int:
         return self.ring.valuation(self.code)
-
-    @property
-    def is_unit(self) -> bool:
-        return self.valuation == 0
-
-    @property
-    def is_zero(self) -> bool:
-        return self.code == 0
 
     def unit_part(self) -> RingElement:
         return RingElement(self.ring, self.ring.unit_part(self.code))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chainring.cli
+import chainring.code
 from chainring.cli import main
 from chainring.enumeration import ENUMERATION_CAP_ENV
 from chainring.errors import InvariantError
@@ -28,6 +29,24 @@ REFERENCE_DOC = {
     "generators": [[1, 0, 1], [0, 2, 0], [0, 0, 2]],
 }
 
+# Over F_2[u]/(u^3), of type (1, 1, 1) and needing a column permutation.
+POLY_DOC = {
+    "ring": {"p": 2, "s": 3, "backend": "poly"},
+    "n": 6,
+    "generators": [
+        [[0, 0, 0], [1, 0, 0], [0, 0, 1], [0, 1, 1], [0, 0, 1], [0, 1, 1]],
+        [[0, 0, 1], [0, 0, 1], [0, 1, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 1], [0, 0, 0], [0, 0, 1]],
+    ],
+}
+POLY_PARITY_ROWS = (
+    "[[[1,0,0],[0,0,0],[0,1,0],[0,0,0],[0,0,0],[0,0,0]],"
+    "[[0,0,0],[0,1,1],[1,1,0],[1,0,0],[1,0,0],[0,0,0]],"
+    "[[0,0,0],[0,1,0],[1,1,0],[0,0,0],[0,0,0],[1,0,0]],"
+    "[[0,0,0],[0,0,1],[0,0,0],[0,1,0],[0,0,0],[0,0,0]],"
+    "[[0,0,0],[0,0,0],[0,0,1],[0,0,0],[0,0,0],[0,0,0]]]"
+)
+
 
 @pytest.fixture
 def c1_file(tmp_path):
@@ -40,6 +59,13 @@ def c1_file(tmp_path):
 def reference_file(tmp_path):
     path = tmp_path / "ref.json"
     path.write_text(json.dumps(REFERENCE_DOC))
+    return str(path)
+
+
+@pytest.fixture
+def poly_file(tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(POLY_DOC))
     return str(path)
 
 
@@ -106,6 +132,24 @@ class TestStructureCommands:
         status, out, _ = run(capsys, "paritycheck", reference_file)
         payload = json.loads(out)
         assert payload["parity_check"] == [[0, 2, 0], [2, 0, 2]]
+
+    def test_paritycheck_poly_output(self, capsys, poly_file):
+        status, out, _ = run(capsys, "paritycheck", poly_file)
+        assert status == 0
+        assert out == (
+            '{"ring":{"p":2,"s":3,"backend":"poly"},"n":6,"parity_check":'
+            + POLY_PARITY_ROWS
+            + "}\n"
+        )
+
+    def test_dual_poly_output(self, capsys, poly_file):
+        status, out, _ = run(capsys, "dual", poly_file)
+        assert status == 0
+        assert out == (
+            '{"ring":{"p":2,"s":3,"backend":"poly"},"n":6,"generators":'
+            + POLY_PARITY_ROWS
+            + ',"profile":[3,1,1],"rank":5,"free_rank":3,"cardinality":"4096"}\n'
+        )
 
     def test_card(self, capsys, reference_file):
         _, out, _ = run(capsys, "card", reference_file)
@@ -306,6 +350,16 @@ class TestCounts:
         assert out == ""
         assert message in err
         assert err.count("error:") == 1
+
+    # The c1 code has A_2 = 248: A_2 = 0, given or solved, denies --d 2.
+    @pytest.mark.parametrize("known", ["2=0", "4=15128"])
+    def test_solve_rejects_zero_count_at_distance(self, capsys, c1_file, known):
+        status, out, err = run(
+            capsys, "wdist", c1_file, "--method", "solve", "--known", known, "--d", "2"
+        )
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == ["error: A_2 = 0 contradicts minimum distance 2"]
 
     def test_solve_accepts_padded_known(self, capsys, c1_file):
         status, out, _ = run(
@@ -557,6 +611,19 @@ class TestExitCodes:
             "message space size differs from the cardinality formula"
         ]
         assert "Traceback" not in err
+
+    def test_non_orthogonal_parity_check_exits_4(self, capsys, reference_file, monkeypatch):
+        # (1, 1, 1) is not orthogonal to the generator (1, 0, 1) over Z/4.
+        monkeypatch.setattr(
+            chainring.code, "_systematic_parity_rows", lambda code: [[1] * code.n]
+        )
+        status, out, err = run(capsys, "paritycheck", reference_file)
+        assert status == 4
+        assert out == ""
+        assert err.splitlines() == [
+            "error: internal invariant violated: "
+            "generator and parity-check rows are not orthogonal"
+        ]
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

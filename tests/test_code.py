@@ -26,6 +26,50 @@ F2U2 = ChainRing(2, 2, "poly")
 REFERENCE_Z4 = [(1, 0, 1), (0, 2, 0), (0, 0, 2)]
 TINY_RINGS = [ChainRing(2, 1), Z4, Z8, Z9, F2U2]
 
+# Parity checks pinned entry for entry: (ring, generators, H rows).  Most
+# codes have three or more nonzero type levels and a column permutation.
+PINNED_PARITY_CHECKS = {
+    "z8": (
+        Z8,
+        [[3, 5, 6, 1, 3, 0], [2, 4, 6, 6, 4, 0], [4, 4, 4, 0, 4, 4]],
+        ((6, 7, 7, 1, 0, 0), (4, 5, 0, 0, 1, 0), (1, 7, 7, 0, 0, 1), (2, 6, 2, 0, 0, 0),
+         (4, 4, 0, 0, 0, 0)),
+    ),
+    "z27": (
+        ChainRing(3, 3),
+        [[7, 1, 0, 22, 8, 16], [3, 18, 9, 15, 9, 9], [24, 9, 24, 3, 9, 3], [18, 0, 9, 0, 9, 9]],
+        ((13, 26, 21, 25, 1, 0), (20, 1, 19, 26, 0, 1), (3, 21, 0, 3, 0, 0), (18, 9, 0, 0, 0, 0),
+         (0, 0, 9, 0, 0, 0)),
+    ),
+    "z32": (
+        ChainRing(2, 5),
+        [[13, 9, 1, 2, 31, 12, 9], [26, 24, 4, 12, 22, 16, 2], [16, 8, 16, 24, 0, 24, 8],
+         [0, 0, 0, 0, 0, 16, 0]],
+        ((21, 2, 30, 0, 1, 0, 0), (8, 31, 31, 1, 0, 0, 0), (17, 3, 31, 0, 0, 0, 1),
+         (12, 30, 30, 0, 0, 2, 0), (8, 20, 4, 0, 0, 0, 0), (16, 16, 0, 0, 0, 0, 0)),
+    ),
+    "f2u3": (
+        ChainRing(2, 3, "poly"),
+        [[0, 1, 4, 6, 4, 6], [4, 4, 2, 4, 2, 6], [0, 0, 4, 4, 0, 4]],
+        ((1, 0, 2, 0, 0, 0), (0, 6, 3, 1, 1, 0), (0, 2, 3, 0, 0, 1), (0, 4, 0, 2, 0, 0),
+         (0, 0, 4, 0, 0, 0)),
+    ),
+    "f3u3": (
+        ChainRing(3, 3, "poly"),
+        [[7, 4, 13, 1, 14, 13], [13, 1, 18, 2, 9, 22], [3, 3, 6, 9, 9, 18], [9, 9, 18, 9, 9, 9]],
+        ((5, 1, 21, 0, 3, 0), (20, 0, 5, 0, 5, 1), (21, 0, 12, 3, 0, 0), (0, 0, 9, 0, 9, 0)),
+    ),
+    "f2u5": (
+        ChainRing(2, 5, "poly"),
+        [[1, 8, 21, 24, 7, 19, 22], [16, 28, 0, 28, 4, 12, 8], [24, 24, 8, 8, 0, 24, 8],
+         [0, 16, 16, 0, 16, 0, 16]],
+        ((31, 7, 0, 0, 1, 0, 0), (5, 5, 1, 1, 0, 0, 0), (29, 7, 0, 0, 0, 1, 1),
+         (0, 2, 0, 2, 0, 0, 0), (12, 4, 0, 0, 0, 4, 0), (0, 8, 0, 0, 0, 0, 0)),
+    ),
+    "zero": (ChainRing(3, 3, "poly"), [], ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    "full": (ChainRing(2, 3, "poly"), [[0, 1, 4], [1, 5, 2], [3, 0, 7]], ()),
+}
+
 
 @st.composite
 def small_code(draw, rings=TINY_RINGS, max_rows=3, max_cols=4):
@@ -88,6 +132,13 @@ class TestParityCheck:
     def test_zero_code_parity_is_identity(self):
         code = code_from_generators(Z8, 3, [])
         assert code.parity_check().rows == identity_matrix(Z8, 3).rows
+
+    @pytest.mark.parametrize("name", sorted(PINNED_PARITY_CHECKS))
+    def test_pinned_rows(self, name):
+        ring, generators, expected = PINNED_PARITY_CHECKS[name]
+        n = len(expected[0]) if expected else len(generators[0])
+        code = code_from_generators(ring, n, generators)
+        assert code.parity_check().rows == expected
 
     def test_kernel_matches_codeword_set(self):
         # kernel scan over all of R^n must reproduce the span

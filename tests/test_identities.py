@@ -423,6 +423,12 @@ class TestSolveDistribution:
         with pytest.raises(ValueError, match="contradicts"):
             solve_distribution(ctx, {1: 5})
 
+    # A_2 = 0 given, then A_2 = 0 solved from A_4: both deny d = 2.
+    @pytest.mark.parametrize("known", [{2: 0}, {4: 15128}])
+    def test_zero_count_at_distance_contradicts(self, known):
+        with pytest.raises(ValueError, match="A_2 = 0 contradicts minimum distance 2"):
+            solve_distribution(c1_context(d=2, d_dual=2), known)
+
     def test_missing_dual_distance(self):
         with pytest.raises(ValueError, match="dual minimum distance"):
             solve_distribution(c1_context(d=2), {2: 248})
@@ -437,6 +443,11 @@ class TestPlessSolver:
     def test_c1_matches_pascal_route(self):
         ctx = c1_context(d=2, d_dual=2)
         assert solve_distribution_pless(ctx, {2: 248}).counts == (1, 0, 248, 0, 15376)
+
+    @pytest.mark.parametrize("known", [{2: 0}, {4: 15128}])
+    def test_zero_count_at_distance_contradicts(self, known):
+        with pytest.raises(ValueError, match="A_2 = 0 contradicts minimum distance 2"):
+            solve_distribution_pless(c1_context(d=2, d_dual=2), known)
 
     def test_equivalence_on_extended_corpus(self, extended_corpus):
         for entry in extended_corpus[:60]:
@@ -511,6 +522,10 @@ class TestClosedFormCrossCheck:
         assert report.agrees is True
         assert report.closed_form == (1, 0, 248, 0, 15376)
         assert "determinant" in report.note
+
+    def test_zero_count_at_distance_contradicts(self):
+        with pytest.raises(ValueError, match="contradicts minimum distance 2"):
+            closed_form_crosscheck(c1_context(d=2, d_dual=2), {2: 0})
 
     def test_small_defect_codes_on_corpus(self, corpus):
         checked = 0
