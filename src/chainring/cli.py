@@ -334,6 +334,8 @@ def _cmd_check(args) -> tuple[Any, int]:
         expected = code.profile.dual(n)
         if not args.all_nu and args.nu < 1:
             raise CodeFileError("subtypes needs nu >= 1")
+        if n == 0:
+            raise CodeFileError("subtypes needs nu >= 1, and a code of length 0 has none")
         for nu in scan_nus(1):
             tally = count_submatrix_types(parity, nu, cap=args.subset_cap)
             required = nu > n - d_dual

@@ -202,7 +202,7 @@ class _MessageSpace:
             values = np.arange(radix, dtype=self.wide)[:, None]
             words = _vec_add(m, words[:, None, :], row, values).reshape(-1, self.width)
         if self.planes > 1:
-            return words.reshape(-1, self.n, self.planes) @ self.place
+            return words.reshape(len(words), self.n, self.planes) @ self.place
         return words.astype(self.narrow)
 
     def tables(self, digits: _Digits) -> Iterator[np.ndarray]:

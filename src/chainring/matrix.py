@@ -268,48 +268,92 @@ def submatrix(matrix: RingMatrix, indices: Sequence[int]) -> RingMatrix:
 # the rows before it, and of valuation >= e everywhere; support lists its
 # other nonzero entries as (position, code).  Up to unit scaling the rows
 # are a triangular, hence unimodular, basis, so the module's type is the
-# multiset of the levels e.
+# multiset of the levels e.  A swap (``_swap``) replaces a row in place by
+# one at a lower level on the same pivot, which keeps this shape.
 _Module = tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
 
 
 def _insert(ring: ChainRing, module: _Module, counts: tuple[int, ...], column, keep: bool):
     """The column module and its type counts after adding one column.
 
-    The column is reduced against each row in turn, unless its entry at a
-    row's pivot lies below that row's level (see ``_reshape``).  With
-    ``keep`` false only the counts are returned (the module is None), for
-    leaves of the walk.
+    The column v is reduced against each row in turn.  Where v's entry at a
+    row's pivot has a valuation e1 below the row's level, v takes the row's
+    place at level e1 and the old row, cleared at the pivot, goes on as the
+    column (see ``_swap``), provided no entry of v lies below e1.  Otherwise,
+    which needs s >= 3, the rows from that one on are rebuilt (see
+    ``_reshape``).  With ``keep`` false only the counts are returned (the
+    module is None), for leaves of the walk.
     """
-    add, mul = ring.add, ring.mul
+    add, mul, valuation = ring.add, ring.mul, ring.valuation
     v = list(column)
-    for t, (j, _, ge, support) in enumerate(module):
+    rows = None  # a list of the module's rows once a swap has replaced one
+    for t, row in enumerate(module):
+        j, e, ge, support = row
         x = v[j]
         if not x:
             continue
         f, low = divmod(x, ge)  # ring.split(x, e): x == low + gamma**e * f
         if low:
-            return _reshape(ring, module, counts, t, v, keep)
+            e1 = valuation(x)
+            if e1 and any(y and valuation(y) < e1 for y in v):
+                return _reshape(ring, module if rows is None else tuple(rows), counts, t, v, keep)
+            if rows is None:
+                rows = list(module)
+            # Without keep the new row stays None: a later _reshape reads
+            # only the rows from its own t on.
+            rows[t], v = _swap(ring, row, v, e1, keep)
+            moved = list(counts)
+            moved[e] -= 1
+            moved[e1] += 1
+            counts = tuple(moved)
+            continue
         v[j] = 0
         f = ring.neg(f)
         for i, y in support:
             v[i] = add(v[i], mul(f, y))
+    if rows is not None:
+        module = tuple(rows)
     # The first entry of least valuation becomes the new pivot.
     j, e = -1, ring.s
     for i, x in enumerate(v):
         if x:
-            level = ring.valuation(x)
+            level = valuation(x)
             if level < e:
                 j, e = i, level
                 if e == 0:
                     break
     if j < 0:
-        return module, counts
+        return (module if keep else None), counts
     counts = counts[:e] + (counts[e] + 1,) + counts[e + 1 :]
     if not keep:
         return None, counts
     scale = ring.inverse(ring.unit_part(v[j]))
     support = tuple((i, mul(scale, x)) for i, x in enumerate(v) if x and i != j)
     return module + ((j, e, ring.gamma_pow(e), support),), counts
+
+
+def _swap(ring: ChainRing, row, v: list[int], e1: int, keep: bool):
+    """Exchange a module row (pivot j, level e) for the column v.
+
+    v is zero at the pivots before the row's, has valuation e1 < e at j and
+    none below e1 anywhere.  u = v / unit_part(v[j]) is gamma**e1 at j, so it
+    is a row of the module's shape at level e1 (returned only with ``keep``,
+    else None), and w = row - gamma**(e-e1) * u is zero at j and of valuation
+    >= e: the column left to reduce against the rows after this one.  u and
+    w span what the row and v span.
+    """
+    add, mul = ring.add, ring.mul
+    j, e, ge, support = row
+    scale = ring.inverse(ring.unit_part(v[j]))
+    g = mul(ring.neg(ring.gamma_pow(e - e1)), scale)  # w = row + g * v
+    w = [mul(g, x) if x else 0 for x in v]
+    w[j] = 0  # gamma**e + g * v[j] == gamma**e - gamma**e
+    for i, y in support:
+        w[i] = add(w[i], y)
+    if not keep:
+        return None, w
+    u = tuple((i, mul(scale, x)) for i, x in enumerate(v) if x and i != j)
+    return (j, e1, ring.gamma_pow(e1), u), w
 
 
 def _reshape(ring: ChainRing, module: _Module, counts: tuple[int, ...], t: int, v, keep: bool):

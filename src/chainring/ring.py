@@ -16,11 +16,11 @@ splitting and representative-range logic (dividing a code by p strips the
 lowest base-p digit in both rings); only add/neg/mul and unit inversion
 differ.
 
-Scalar add, neg and mul on rings of at most ``TABLE_RING_SIZE`` elements read
-a table, on either backend: one q x q table each for add and mul and one of q
-entries for neg, built on first use, cached per (p, s, backend) and shared by
-equal rings.  Larger rings compute modulo p**s (integer backend) or digit by
-digit (polynomial backend).
+Scalar add, neg, mul, valuation, unit part and inverse on rings of at most
+``TABLE_RING_SIZE`` elements read a table, on either backend: one q x q table
+each for add and mul and one of q entries for each of the others, built on
+first use, cached per (p, s, backend) and shared by equal rings.  Larger rings
+compute modulo p**s (integer backend) or digit by digit (polynomial backend).
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ BACKENDS = ("int", "poly")
 # use arbitrary precision.
 MAX_RING_SIZE = 1 << 31
 
-# Rings up to this size take add, neg and mul from tables: 81 = 3**4 is the
-# largest ring the benchmark's workloads run.  Above it a table still wins
-# per operation, but its build (13 ms and 1 MB for F_2[u]/(u^8)) is not
+# Rings up to this size take their scalar operations from tables: 81 = 3**4
+# is the largest ring the benchmark's workloads run.  Above it a table still
+# wins per operation, but its build (13 ms and 1 MB for F_2[u]/(u^8)) is not
 # earned back by short calls.  At q = 81 the add and mul tables hold 6561
 # entries each, about 60 kB apiece.
 TABLE_RING_SIZE = 81
@@ -73,8 +73,13 @@ def _is_prime(p: int) -> bool:
 
 
 @lru_cache(maxsize=8)
-def _tables(p: int, s: int, backend: str) -> tuple[tuple, tuple, tuple]:
-    """The add, neg and mul tables of a ring: ``add[a][b]``, ``neg[a]``, ``mul[a][b]``."""
+def _tables(p: int, s: int, backend: str) -> tuple[tuple, ...]:
+    """The tables of a ring: ``add[a][b]``, ``neg[a]``, ``mul[a][b]``,
+    ``valuation[a]``, ``unit_part[a]`` and ``inverse[a]``.
+
+    ``unit_part[0]`` and ``inverse`` of a non-unit are 0, which no defined
+    value is.
+    """
     q = p**s
     codes = np.arange(q, dtype=np.int64)
     if backend == "int":
@@ -92,7 +97,34 @@ def _tables(p: int, s: int, backend: str) -> tuple[tuple, tuple, tuple]:
             sum(digits[i][:, None] * digits[k - i] for i in range(k + 1)) % p * w
             for k, w in enumerate(weights)
         )
-    return tuple(map(tuple, add.tolist())), tuple(neg.tolist()), tuple(map(tuple, mul.tolist()))
+    # Valuation and unit part strip low base-p digits, the same in both backends.
+    valuation = np.zeros(q, dtype=np.int64)
+    for k in range(1, s):
+        valuation += codes % p**k == 0
+    valuation[0] = s
+    unit_part = codes // p**valuation
+    inverse = (mul == 1).argmax(axis=1)  # 0 in a non-unit's row, which holds no 1
+    return (
+        tuple(map(tuple, add.tolist())),
+        tuple(neg.tolist()),
+        tuple(map(tuple, mul.tolist())),
+        tuple(valuation.tolist()),
+        tuple(unit_part.tolist()),
+        tuple(inverse.tolist()),
+    )
+
+
+def _table(index: int) -> cached_property:
+    """Table ``index`` of ``_tables`` for the ring, built on first use; None
+    above TABLE_RING_SIZE.  Not a field: equality, hash and repr see (p, s,
+    backend) only."""
+
+    def build(ring: ChainRing) -> tuple | None:
+        if ring.size > TABLE_RING_SIZE:
+            return None
+        return _tables(ring.p, ring.s, ring.backend)[index]
+
+    return cached_property(build)
 
 
 @dataclass(frozen=True)
@@ -135,20 +167,12 @@ class ChainRing:
     def size(self) -> int:
         return self.p**self.s
 
-    # Built on first use, not fields: equality, hash and repr see (p, s,
-    # backend) only.  None above TABLE_RING_SIZE.
-
-    @cached_property
-    def _add_table(self) -> tuple | None:
-        return _tables(self.p, self.s, self.backend)[0] if self.size <= TABLE_RING_SIZE else None
-
-    @cached_property
-    def _neg_table(self) -> tuple | None:
-        return _tables(self.p, self.s, self.backend)[1] if self.size <= TABLE_RING_SIZE else None
-
-    @cached_property
-    def _mul_table(self) -> tuple | None:
-        return _tables(self.p, self.s, self.backend)[2] if self.size <= TABLE_RING_SIZE else None
+    _add_table = _table(0)
+    _neg_table = _table(1)
+    _mul_table = _table(2)
+    _valuation_table = _table(3)
+    _unit_part_table = _table(4)
+    _inverse_table = _table(5)
 
     @property
     def gamma_code(self) -> int:
@@ -229,6 +253,9 @@ class ChainRing:
         Works for both backends: stripping the lowest base-p digit divides by
         p in the integer ring and by u in the polynomial ring.
         """
+        table = self._valuation_table
+        if table is not None:
+            return table[a]
         if a == 0:
             return self.s
         v = 0
@@ -251,12 +278,18 @@ class ChainRing:
         """The unit w with a == gamma**valuation(a) * w; undefined for zero."""
         if a == 0:
             raise ValueError("zero has no unit part")
+        table = self._unit_part_table
+        if table is not None:
+            return table[a]
         return a // self.p ** self.valuation(a)
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a unit."""
         if a % self.p == 0:  # gamma divides a: its lowest base-p digit is zero
             raise ValueError(f"{self.decode(a)!r} is not a unit in {self}")
+        table = self._inverse_table
+        if table is not None:
+            return table[a]
         if self.backend == "int":
             return pow(a, -1, self.size)
         # Triangular solve for b with a*b == 1: the constant coefficient is

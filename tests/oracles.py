@@ -2,10 +2,10 @@
 
 Everything here avoids the library's reduction and message-space machinery:
 spans are built from full coefficient products with set deduplication,
-kernels and inverses by exhaustive scans.  Scalar add, neg and mul are
-recomputed from the definitions, without the ring's tables or digit loops,
-and the MacWilliams transform by its closed triple sum.  Intended for small
-instances only.
+kernels, inverses, valuations and unit parts by exhaustive scans.  Scalar
+add, neg and mul are recomputed from the definitions, without the ring's
+tables or digit loops, and the MacWilliams transform by its closed triple
+sum.  Intended for small instances only.
 """
 
 from __future__ import annotations
@@ -70,10 +70,31 @@ def oracle_macwilliams(dist) -> tuple[Fraction, ...]:
 
 def brute_inverse(ring: ChainRing, code: int) -> int | None:
     """Scan all elements for a multiplicative inverse."""
-    for candidate in ring.elements():
-        if ring.mul(code, candidate) == 1:
+    for candidate in range(ring.size):
+        if oracle_mul(ring, code, candidate) == 1:
             return candidate
     return None
+
+
+def oracle_valuation(ring: ChainRing, code: int) -> int:
+    """Largest j <= s with code a multiple of gamma**j, by scanning the multiples.
+
+    gamma is p (integer backend) or u (polynomial backend); both have code p,
+    and gamma**j has code p**j below s and is zero from s on.
+    """
+    return max(
+        j
+        for j in range(ring.s + 1)
+        if any(oracle_mul(ring, ring.p**j % ring.size, b) == code for b in range(ring.size))
+    )
+
+
+def oracle_unit_part(ring: ChainRing, code: int) -> int:
+    """The w with gamma**v * w == code, v the valuation, among the canonical
+    representatives of R / gamma**(s-v): the codes below p**(s-v)."""
+    v = oracle_valuation(ring, code)
+    (w,) = [w for w in range(ring.p ** (ring.s - v)) if oracle_mul(ring, ring.p**v, w) == code]
+    return w
 
 
 def span_set(ring: ChainRing, rows, n: int) -> set[tuple[int, ...]]:

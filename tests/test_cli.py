@@ -75,6 +75,17 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
+def run_length_zero_twins(capsys, tmp_path, *argv):
+    """Run argv on the int and the poly code of length 0 over Z/4, F_2[u]/(u^2)."""
+    results = []
+    for backend in ("int", "poly"):
+        path = tmp_path / f"{backend}.json"
+        doc = {"ring": {"p": 2, "s": 2, "backend": backend}, "n": 0, "generators": []}
+        path.write_text(json.dumps(doc))
+        results.append(run(capsys, argv[0], str(path), *argv[1:]))
+    return results
+
+
 class TestWdist:
     def test_enumerate_c1(self, capsys, c1_file):
         status, out, _ = run(capsys, "wdist", c1_file)
@@ -111,6 +122,10 @@ class TestWdist:
         assert status == 0
         assert payload["distribution"] == ["1", "3", "7", "5"]
         assert payload["enumerator_polynomial"] == "X^3 + 3*X^2*Y + 7*X*Y^2 + 5*Y^3"
+
+    def test_poly_length_zero_matches_int_twin(self, capsys, tmp_path):
+        int_run, poly_run = run_length_zero_twins(capsys, tmp_path, "wdist")
+        assert poly_run == int_run == (0, '["1"]\n', "")
 
     def test_workers_flag_is_gone(self, capsys, c1_file):
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +218,11 @@ class TestStructureCommands:
         status, _, err = run(capsys, "classify", str(path))
         assert status == 2
         assert "zero code" in err
+
+    def test_classify_poly_length_zero_matches_int_twin(self, capsys, tmp_path):
+        int_run, poly_run = run_length_zero_twins(capsys, tmp_path, "classify")
+        assert poly_run == int_run
+        assert int_run[0] == 2 and "zero code" in int_run[2]
 
 
 class TestMac:
@@ -466,6 +486,24 @@ class TestCheck:
         status, _, err = run(capsys, "check", c1_file, "--identity", "subtypes", "--nu", "0")
         assert status == 2
         assert "nu >= 1" in err
+
+    def test_subtypes_all_nu_on_length_zero_exits_2(self, capsys, tmp_path):
+        for status, out, err in run_length_zero_twins(
+            capsys, tmp_path, "check", "--identity", "subtypes", "--all-nu"
+        ):
+            assert status == 2
+            assert out == ""
+            assert err.splitlines() == [
+                "error: subtypes needs nu >= 1, and a code of length 0 has none"
+            ]
+
+    def test_doublecount_poly_length_zero_matches_int_twin(self, capsys, tmp_path):
+        int_run, poly_run = run_length_zero_twins(
+            capsys, tmp_path, "check", "--identity", "doublecount", "--all-nu"
+        )
+        assert poly_run == int_run
+        assert int_run[0] == 0
+        assert json.loads(int_run[1])["results"][0]["lhs"] == "1"
 
     def test_wrong_distribution_fails_required_check(self, capsys, c1_file):
         status, out, _ = run(

@@ -6,7 +6,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import chainring.matrix
 from chainring import (
@@ -46,8 +46,19 @@ def small_matrix(draw, rings=TINY_RINGS, max_rows=3, max_cols=4):
     return RingMatrix(ring, rows, ncols)
 
 
-# Rings with room for several levels, on both backends.
-SCAN_RINGS = [Z4, ChainRing(2, 3), Z9, F2U2, ChainRing(2, 3, "poly"), ChainRing(3, 2, "poly")]
+# Rings with room for several levels, on both backends.  From s = 3 on a
+# column can lower a pivot's level while it has a lower entry elsewhere, the
+# case a swap cannot take.
+SCAN_RINGS = [
+    Z4,
+    ChainRing(2, 3),
+    ChainRing(2, 4),
+    Z9,
+    F2U2,
+    ChainRing(2, 3, "poly"),
+    ChainRing(2, 4, "poly"),
+    ChainRing(3, 2, "poly"),
+]
 
 
 @st.composite
@@ -70,6 +81,24 @@ def reduced_submatrix_tally(matrix: RingMatrix, nu: int) -> dict[TypeProfile, in
         profile = standard_form(submatrix(matrix, cols)).profile
         tally[profile] = tally.get(profile, 0) + 1
     return tally
+
+
+def spy_on_module_changes(monkeypatch) -> dict[str, list]:
+    """Record the (old, new) level of every swap and the row index of every reshape."""
+    seen: dict[str, list] = {"swap": [], "reshape": []}
+    swap, reshape = chainring.matrix._swap, chainring.matrix._reshape
+
+    def swap_spy(ring, row, v, e1, keep):
+        seen["swap"].append((row[1], e1))
+        return swap(ring, row, v, e1, keep)
+
+    def reshape_spy(*args):
+        seen["reshape"].append(args[3])
+        return reshape(*args)
+
+    monkeypatch.setattr(chainring.matrix, "_swap", swap_spy)
+    monkeypatch.setattr(chainring.matrix, "_reshape", reshape_spy)
+    return seen
 
 
 def apply_permutation(matrix: RingMatrix, perm) -> RingMatrix:
@@ -255,11 +284,21 @@ class TestCountSubmatrixTypes:
         tally = count_submatrix_types(matrix, nu)
         assert sum(tally.values()) == comb(matrix.ncols, nu)
 
-    @settings(max_examples=150, deadline=None)
-    @given(nonunit_matrix())
-    def test_matches_reduction_of_every_submatrix(self, matrix):
-        for nu in range(1, matrix.ncols + 1):
-            assert count_submatrix_types(matrix, nu) == reduced_submatrix_tally(matrix, nu), nu
+    def test_matches_reduction_of_every_submatrix(self, monkeypatch):
+        seen = spy_on_module_changes(monkeypatch)
+
+        # Random draws reach the reshape in most runs, not all; these columns
+        # (4,0), (2,1), (1,0) reach it and the swap in every run.
+        @settings(max_examples=150, deadline=None)
+        @given(nonunit_matrix())
+        @example(RingMatrix.build(ChainRing(2, 4), [(4, 2, 1), (0, 1, 0)]))
+        @example(RingMatrix.build(ChainRing(2, 4, "poly"), [(4, 2, 1), (0, 1, 0)]))
+        def check(matrix):
+            for nu in range(1, matrix.ncols + 1):
+                assert count_submatrix_types(matrix, nu) == reduced_submatrix_tally(matrix, nu), nu
+
+        check()
+        assert seen["swap"] and seen["reshape"]
 
     @settings(max_examples=60, deadline=None)
     @given(nonunit_matrix(max_rows=3, max_cols=5))
@@ -276,21 +315,25 @@ class TestCountSubmatrixTypes:
 
     def test_later_column_lowers_a_pivot_level(self, monkeypatch):
         # Columns (2,0) and (0,2) give two pivots of level 1; (1,1) has a unit
-        # at the first of them, so the module changes shape and is rebuilt.
-        reshaped = []
-        reshape = chainring.matrix._reshape
-
-        def spy(*args):
-            reshaped.append(args[3])
-            return reshape(*args)
-
-        monkeypatch.setattr(chainring.matrix, "_reshape", spy)
+        # at the first of them, so it takes that row's place at level 0.
+        seen = spy_on_module_changes(monkeypatch)
         h = RingMatrix.build(Z4, [(2, 0, 1), (0, 2, 1)])
         assert count_submatrix_types(h, 3) == {TypeProfile((1, 1)): 1}
         assert count_submatrix_types(h, 2) == {TypeProfile((0, 2)): 1, TypeProfile((1, 1)): 2}
-        assert reshaped and set(reshaped) == {0}
+        assert seen["swap"] and set(seen["swap"]) == {(1, 0)}
+        assert not seen["reshape"]
         for nu in (1, 2, 3):
             assert count_submatrix_types(h, nu) == reduced_submatrix_tally(h, nu)
+
+    def test_lower_entry_off_the_pivot_reshapes(self, monkeypatch):
+        # Over Z/8, (2,1) meets the level-2 pivot of (4,0) with a 2, of
+        # valuation 1, but its unit entry lies off that pivot: no swap keeps
+        # the module's shape, so the row is rebuilt.
+        seen = spy_on_module_changes(monkeypatch)
+        h = RingMatrix.build(ChainRing(2, 3), [(4, 2), (0, 1)])
+        assert count_submatrix_types(h, 2) == {TypeProfile((1, 0, 1)): 1}
+        assert seen == {"swap": [], "reshape": [0]}
+        assert count_submatrix_types(h, 2) == reduced_submatrix_tally(h, 2)
 
     def test_full_rank_prefix_counts_its_subtree(self, monkeypatch):
         # Once a prefix spans Z/4^2 no column is added to it, yet every

@@ -11,7 +11,14 @@ from hypothesis import given, strategies as st
 
 from chainring import ChainRing, gamma_decompose, unit_inverse
 from chainring.ring import BACKENDS, TABLE_RING_SIZE
-from oracles import brute_inverse, oracle_add, oracle_mul, oracle_neg
+from oracles import (
+    brute_inverse,
+    oracle_add,
+    oracle_mul,
+    oracle_neg,
+    oracle_unit_part,
+    oracle_valuation,
+)
 
 Z4 = ChainRing(2, 2)
 Z8 = ChainRing(2, 3)
@@ -274,6 +281,22 @@ class TestTables:
             assert [ring.add(a, b) for b in codes] == [oracle_add(ring, a, b) for b in codes]
             assert [ring.mul(a, b) for b in codes] == [oracle_mul(ring, a, b) for b in codes]
 
+    @pytest.mark.parametrize("ring", _rings(1, 64), ids=str)
+    def test_valuation_unit_part_and_inverse_against_oracle(self, ring):
+        codes = ring.elements()
+        assert [ring.valuation(a) for a in codes] == [oracle_valuation(ring, a) for a in codes]
+        nonzero = codes[1:]
+        assert [ring.unit_part(a) for a in nonzero] == [oracle_unit_part(ring, a) for a in nonzero]
+        with pytest.raises(ValueError, match="zero has no unit part"):
+            ring.unit_part(0)
+        for a in codes:
+            expected = brute_inverse(ring, a)
+            if expected is None:
+                with pytest.raises(ValueError, match="is not a unit in"):
+                    ring.inverse(a)
+            else:
+                assert ring.inverse(a) == expected
+
     @pytest.mark.parametrize("ring", SAMPLED, ids=str)
     def test_sampled_pairs_against_oracle(self, ring):
         rng = random.Random(str(ring))
@@ -285,7 +308,14 @@ class TestTables:
 
     def test_tables_stop_at_the_bound(self):
         for ring in _rings(1, 1 << 8):
-            tables = (ring._add_table, ring._neg_table, ring._mul_table)
+            tables = (
+                ring._add_table,
+                ring._neg_table,
+                ring._mul_table,
+                ring._valuation_table,
+                ring._unit_part_table,
+                ring._inverse_table,
+            )
             assert all((t is not None) == (ring.size <= TABLE_RING_SIZE) for t in tables)
 
     def test_tables_are_built_on_first_use(self):
