@@ -27,13 +27,17 @@ Compare, don't add.  In any ring a + b == 0 exactly when a == -b.  The low
 digit rows span an inner table of words; the high ones give outer offsets,
 built negated (-h is (m-1)*h mod m).  Word (outer, inner) then has weight
 ``count_nonzero(inner != -outer)``: one comparison per cell of the packed
-codes, with no modular addition.
+codes, with no modular addition.  Each column's comparison lands in a bool
+buffer that the counter grid adds through a uint8 view of the same bytes,
+so the add runs no bool-to-integer cast.
 
 Cell budget.  No array the enumeration allocates holds more than
 ``_BLOCK_CELLS`` cells, plane cells included: word tables hold at most
 ``_BLOCK_CELLS // width`` words of n*planes cells (one word when a word is
 larger), and one kernel iteration compares a run of negated offsets with the
-inner table in a grid of at most ``_BLOCK_CELLS`` words.  A digit whose radix
+inner table in a grid of at most ``_BLOCK_CELLS`` words.  The counter grid
+and the compare buffer are allocated once per call at that size; each
+iteration zeroes and fills views of their leading rows.  A digit whose radix
 p exceeds a table is split into contiguous chunks of its range, since
 [a, a+b)*h == a*h + [0, b)*h, so no ring falls back to a word per iteration.
 """
@@ -217,7 +221,11 @@ class _MessageSpace:
         return self.tables([(h, self.p) for h in self.digits.astype(self.wide)])
 
     def weights(self) -> Iterator[np.ndarray]:
-        """Weights of every codeword, one flat array per kernel iteration."""
+        """Weights of every codeword, one flat array per kernel iteration.
+
+        A yielded array may be a view of a buffer that the next iteration
+        overwrites: it is valid only until the generator resumes.
+        """
         n, p, m = self.n, self.p, self.modulus
         negated = _vec_add(m, 0, self.digits, m - 1)  # -h == (m-1)*h
         inner = [(h, p) for h in self.digits.astype(self.wide)]
@@ -237,17 +245,19 @@ class _MessageSpace:
         inner_cols = np.ascontiguousarray(inner_table.T)
         size = len(inner_table)
         per = max(1, _BLOCK_CELLS // size)
-        counter = _narrowest(n + 1)
+        grids = np.empty((per, size), dtype=_narrowest(n + 1))
+        compares = np.empty((per, size), dtype=bool)
+        flags = compares.view(np.uint8)  # bool's item size: the add runs no cast
         position = 0
         for negs in self.tables(outer):
             parts = -(-len(negs) // per)
             for k in range(parts):
                 lo, hi = k * len(negs) // parts, (k + 1) * len(negs) // parts
-                grid = np.zeros((hi - lo, size), dtype=counter)
-                differs = np.empty(grid.shape, dtype=bool)
+                grid, differs = grids[: hi - lo], compares[: hi - lo]
+                grid.fill(0)
                 for col in range(n):
                     np.not_equal(negs[lo:hi, col, None], inner_cols[col], out=differs)
-                    grid += differs
+                    grid += flags[: hi - lo]
                 if chunks:
                     # the last chunk of the split digit runs past p
                     start = np.arange(position + lo, position + hi) % chunks * size

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import chainring.cli
 import chainring.code
+from chainring import ChainRing, code_from_generators, dual, weight_distribution
 from chainring.cli import main
 from chainring.enumeration import ENUMERATION_CAP_ENV
 from chainring.errors import InvariantError
@@ -281,8 +282,77 @@ class TestMac:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    # A code of rank r and free rank f has p**m words, s*f + (r-f) <= m <=
+    # s*f + (s-1)*(r-f): f copies of R and r-f proper ideals.  The Z/4,
+    # field and Z/125 cases are distributions of real codes of another type,
+    # which the transform alone accepts.
+    @pytest.mark.parametrize(
+        "p, s, n, rank, free_rank, card, dist",
+        [
+            pytest.param(2, 2, 4, 2, 1, "4", "[1,0,1,2,0]", id="z4-below-the-type"),
+            pytest.param(2, 2, 4, 2, 1, "16", "[1,0,1,10,4]", id="z4-above-the-type"),
+            pytest.param(2, 2, 4, 2, 1, "0", "[1]", id="zero"),
+            pytest.param(2, 2, 4, 2, 1, "12", "[1,0,1,2,8]", id="not-a-power-of-p"),
+            pytest.param(3, 1, 2, 1, 0, "3", "[1,2,0]", id="field-with-a-non-free-row"),
+            pytest.param(5, 3, 3, 2, 2, "625", "[1,0,132,492]", id="z125-below-the-free-type"),
+        ],
+    )
+    def test_rejects_card_no_code_of_the_type_has(
+        self, capsys, tmp_path, p, s, n, rank, free_rank, card, dist
+    ):
+        path = tmp_path / "dist.json"
+        path.write_text(dist)
+        status, out, err = run(
+            capsys,
+            "mac",
+            str(path),
+            "--p", str(p), "--s", str(s), "--n", str(n),
+            "--card", card, "--rank", str(rank), "--free-rank", str(free_rank),
+        )
+        assert status == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert f"--card {card} is not {p}**m" in err
 
-MAC_FLAGS = ("--p", "2", "--s", "2", "--n", "3", "--card", "16", "--rank", "3", "--free-rank", "1")
+    @pytest.mark.parametrize(
+        "generators, card",
+        [
+            pytest.param([[1, 0, 1], [0, 4, 0]], 16, id="z8-lowest-m"),
+            pytest.param([[1, 0, 1], [0, 2, 0]], 32, id="z8-highest-m"),
+        ],
+    )
+    def test_accepts_card_at_each_end_of_the_type(self, capsys, tmp_path, generators, card):
+        # Z/8, rank 2, free rank 1: from 8*2 = 16 words up to 8*4 = 32.
+        code = code_from_generators(ChainRing(2, 3), 3, generators)
+        assert (code.cardinality, code.rank, code.free_rank) == (card, 2, 1)
+        path = tmp_path / "dist.json"
+        path.write_text(json.dumps(list(weight_distribution(code).counts)))
+        status, out, err = run(
+            capsys,
+            "mac",
+            str(path),
+            "--p", "2", "--s", "3", "--n", "3",
+            "--card", str(card), "--rank", "2", "--free-rank", "1",
+        )
+        assert (status, err) == (0, "")
+        assert json.loads(out) == [str(c) for c in weight_distribution(dual(code)).counts]
+
+    def test_readme_example(self, capsys, tmp_path):
+        # chainring mac dist.json --p 5 --s 3 --n 4 --card 15625 --rank 2 --free-rank 2
+        path = tmp_path / "dist.json"
+        path.write_text('["1","0","248","0","15376"]')
+        status, out, err = run(
+            capsys,
+            "mac",
+            str(path),
+            "--p", "5", "--s", "3", "--n", "4",
+            "--card", "15625", "--rank", "2", "--free-rank", "2",
+        )
+        assert (status, err) == (0, "")
+        assert json.loads(out) == ["1", "0", "248", "0", "15376"]
+
+
+MAC_FLAGS =("--p", "2", "--s", "2", "--n", "3", "--card", "16", "--rank", "3", "--free-rank", "1")
 
 
 class TestCounts:

@@ -6,6 +6,7 @@ import random
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -306,6 +307,43 @@ class TestKernel:
         sizes = [len(weights) for weights in space.weights()]
         assert sum(sizes) == code.cardinality
         assert min(sizes) >= least
+
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    def test_wide_counter_past_255(self, backend):
+        # n >= 256 needs a uint16 counter; a uint8 one would wrap 300 to 44.
+        ring = ChainRing(2, 2, backend)
+        n = 300
+        ones = code_from_generators(ring, n, [[1] * n])
+        assert next(_MessageSpace(ones).weights()).dtype == np.uint16
+        assert weight_distribution(ones).counts == (1,) + (0,) * (n - 1) + (3,)
+        # Weights 100, 200 and 300: c*1 + e*(0^100 2^200), c in R, e in {0, 1}.
+        rows = [[1] * n, [0] * 100 + [2] * 200]
+        counts = weight_distribution(code_from_generators(ring, n, rows)).counts
+        assert counts == brute_weight_counts(ring, rows, n)
+        assert {w: c for w, c in enumerate(counts) if c} == {0: 1, 100: 1, 200: 1, 300: 5}
+
+    @pytest.mark.parametrize(
+        "p, s, n",
+        [(65537, 1, 1), (3, 2, 6)],
+        ids=["last-grid-masked", "grid-shrinks-midway"],
+    )
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    def test_reused_buffers_leave_no_stale_cells(self, p, s, n, backend):
+        # Full spaces: A_w = C(n, w) (q-1)^w.  Over Z/65537 the split digit's
+        # last chunk leaves one word in the last iteration; over Z/9 and
+        # F_3[u]/(u^2) a grid of fewer rows follows a longer one, so stale
+        # rows of the earlier grid sit in the buffers past its end.
+        from math import comb
+
+        ring = ChainRing(p, s, backend)
+        code = code_from_generators(ring, n, identity_matrix(ring, n).rows)
+        sizes = [len(weights) for weights in _MessageSpace(code).weights()]
+        assert len(sizes) >= 3
+        assert any(b < a for a, b in zip(sizes, sizes[1:]))
+        q = ring.size
+        assert weight_distribution(code).counts == tuple(
+            comb(n, w) * (q - 1) ** w for w in range(n + 1)
+        )
 
     @pytest.mark.parametrize(
         "ring, rows",
