@@ -25,19 +25,16 @@ from .enumeration import (
 )
 from .errors import CapExceededError, InvariantError
 from .identities import (
-    ClosedFormCrossCheck,
     DoubleCountCheck,
     IdentityContext,
     PascalSystem,
     RelationCheck,
     check_new_relation,
-    closed_form_crosscheck,
     double_count_check,
     macwilliams_transform,
     mds_distribution,
     new_relation_report,
     power_moment,
-    small_defect_distribution,
     solve_distribution,
     solve_distribution_pless,
 )
@@ -60,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CapExceededError",
     "ChainRing",
-    "ClosedFormCrossCheck",
     "CodeProfile",
     "DoubleCountCheck",
     "IdentityContext",
@@ -76,7 +72,6 @@ __all__ = [
     "cardinality",
     "check_new_relation",
     "classify",
-    "closed_form_crosscheck",
     "code_from_generators",
     "count_submatrix_types",
     "double_count_check",
@@ -96,7 +91,6 @@ __all__ = [
     "power_moment",
     "render_enumerator",
     "rowspace_size",
-    "small_defect_distribution",
     "solve_distribution",
     "solve_distribution_pless",
     "standard_form",

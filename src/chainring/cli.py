@@ -284,9 +284,11 @@ def _cmd_check(args) -> tuple[Any, int]:
     if args.subset_cap < 0:
         raise CodeFileError("--subset-cap must be nonnegative")
 
+    # subtypes reads only H and d_dual, so C itself is enumerated only for the
+    # identities that need its distribution.
     if args.distribution:
         dist = _distribution_from_counts(code, _parse_counts(args.distribution, n))
-    else:
+    elif args.identity != "subtypes":
         dist = weight_distribution(code)
 
     report: dict[str, Any] = {"identity": args.identity, "n": n}

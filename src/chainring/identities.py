@@ -12,8 +12,7 @@ tolerance.  The machinery:
 * power moments (full form against the dual distribution, and the short form
   valid below the dual distance),
 * exact solvers that complete a partial distribution from either system, and
-* closed forms for MDS and small-defect codes, cross-checkable against the
-  solver.
+* the closed form for MDS codes.
 """
 
 from __future__ import annotations
@@ -28,20 +27,17 @@ from .enumeration import WeightDistribution, weight_distribution
 from .matrix import DEFAULT_SUBSET_CAP, TypeProfile, _subset_profiles
 
 __all__ = [
-    "ClosedFormCrossCheck",
     "DoubleCountCheck",
     "IdentityContext",
     "PascalSystem",
     "RelationCheck",
     "binomial",
     "check_new_relation",
-    "closed_form_crosscheck",
     "double_count_check",
     "macwilliams_transform",
     "mds_distribution",
     "new_relation_report",
     "power_moment",
-    "small_defect_distribution",
     "solve_distribution",
     "solve_distribution_pless",
 ]
@@ -504,7 +500,7 @@ def solve_distribution_pless(
     return _complete(ctx, filled, equations, ctx.d_dual)
 
 
-# -- closed forms ------------------------------------------------------------------
+# -- closed form -------------------------------------------------------------------
 
 
 def mds_distribution(n: int, rank: int, p: int, s: int) -> WeightDistribution:
@@ -528,151 +524,3 @@ def mds_distribution(n: int, rank: int, p: int, s: int) -> WeightDistribution:
     return WeightDistribution(
         n=n, counts=tuple(counts), p=p, s=s, card=q**rank, rank=rank, free_rank=rank
     )
-
-
-def small_defect_distribution(
-    ctx: IdentityContext, known_high_weights: Mapping[int, int]
-) -> WeightDistribution:
-    """Distribution of a code with Singleton defect 0 or 1.
-
-    Delegates to the Pascal solver, which is the canonical recovery path for
-    these codes; closed forms live in ``closed_form_crosscheck``.
-    """
-    if ctx.d is None:
-        raise ValueError("the context must carry the minimum distance")
-    defect = ctx.n + 1 - ctx.rank - ctx.d
-    if defect not in (0, 1):
-        raise ValueError(f"expected Singleton defect 0 or 1, got {defect}")
-    return solve_distribution(ctx, known_high_weights)
-
-
-@dataclass(frozen=True)
-class ClosedFormCrossCheck:
-    """Solver output versus an independently computed distribution."""
-
-    solver: WeightDistribution
-    closed_form: tuple[int, ...] | None
-    agrees: bool | None
-    note: str
-
-
-def _mdr_closed_form(ctx: IdentityContext, known: dict[int, int]) -> tuple[int, ...] | None:
-    """Explicit inverse-Pascal recovery for defect-0 codes.
-
-    The top unknowns A_{n-k0+sigma+i} satisfy a triangular system whose
-    inverse is the signed version of itself:
-        A_{n-k0+sigma+i} = sum_{j<=i} (-1)^(i-j) C(k0-sigma-j, i-j) * b_j,
-    where b_j collects the right-hand side of the equation at
-    nu = n - k0 + sigma + j after moving the lower known counts across.
-    """
-    n, K, k0 = ctx.n, ctx.rank, ctx.free_rank
-    d, d_dual = ctx.d, ctx.d_dual
-    if d is None or d_dual is None:
-        return None
-    sigma = (n + 1 - K - d) + (k0 + 1 - d_dual)
-    lower = {}
-    for h in range(sigma + K - k0 - 1):
-        l = n - K + 1 + h
-        if l not in known:
-            return None  # not enough knowns for the explicit form
-        lower[l] = known[l]
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for l, v in lower.items():
-        counts[l] = v
-    for i in range(k0 - sigma + 1):
-        total = Fraction(0)
-        for j in range(i + 1):
-            nu = n - k0 + sigma + j
-            b = binomial(n, nu) * (ctx.scaled_cardinality(nu) - 1)
-            for l, v in lower.items():
-                b -= binomial(n - l, nu - l) * v
-            term = binomial(k0 - sigma - j, i - j) * b
-            total += -term if (i - j) & 1 else term
-        if total.denominator != 1 or total < 0:
-            return None
-        counts[n - k0 + sigma + i] = int(total)
-    return tuple(counts)
-
-
-def _determinant(rows: list[list[Fraction]]) -> Fraction:
-    size = len(rows)
-    work = [row[:] for row in rows]
-    det = Fraction(1)
-    for c in range(size):
-        pivot = next((i for i in range(c, size) if work[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, size):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return det
-
-
-def _cramer_solve(ctx: IdentityContext, known: dict[int, int]) -> tuple[int, ...] | None:
-    """Re-solve the Pascal system through determinant ratios.
-
-    Independent of the Gaussian-elimination path; used to cross-check codes
-    whose closed form has no reliable explicit shape.
-    """
-    if ctx.d_dual is None:
-        return None
-    system = PascalSystem.build(ctx)
-    unknowns = [l for l in range(ctx.n + 1) if l not in known]
-    u = len(unknowns)
-    if u == 0 or u > ctx.d_dual:
-        return None
-    # The last u equations form a truncated Pascal matrix with u rows, so
-    # every u x u column minor is invertible.
-    tail = list(zip(system.nus, system.rhs))[-u:]
-    base = [[Fraction(binomial(ctx.n - l, nu - l)) for l in unknowns] for nu, _ in tail]
-    rhs = [
-        Fraction(b) - sum(binomial(ctx.n - l, nu - l) * known[l] for l in known)
-        for nu, b in tail
-    ]
-    det = _determinant(base)
-    if det == 0:
-        return None
-    counts = [0] * (ctx.n + 1)
-    for idx, value in known.items():
-        counts[idx] = value
-    for col, l in enumerate(unknowns):
-        replaced = [row[:col] + [rhs[i]] + row[col + 1 :] for i, row in enumerate(base)]
-        value = _determinant(replaced) / det
-        if value.denominator != 1 or value < 0:
-            return None
-        counts[l] = int(value)
-    return tuple(counts)
-
-
-def closed_form_crosscheck(
-    ctx: IdentityContext, known_high_weights: Mapping[int, int]
-) -> ClosedFormCrossCheck:
-    """Compare the solver with an independently derived distribution.
-
-    Free defect-0 codes use the closed MDS formula, other defect-0 codes the
-    explicit inverse-Pascal form, and defect-1 codes a determinant-based
-    re-solve.  Disagreements are reported, never silently trusted.
-    """
-    if ctx.d is None:
-        raise ValueError("the context must carry the minimum distance")
-    solver = small_defect_distribution(ctx, known_high_weights)
-    defect = ctx.n + 1 - ctx.rank - ctx.d
-    known = _fill_known(ctx, known_high_weights)
-    if defect == 0 and ctx.rank == ctx.free_rank:
-        closed = mds_distribution(ctx.n, ctx.rank, ctx.p, ctx.s).counts
-        note = "mds closed form"
-    elif defect == 0:
-        closed = _mdr_closed_form(ctx, known)
-        note = "inverse-Pascal closed form" if closed else "insufficient knowns for the closed form"
-    else:
-        closed = _cramer_solve(ctx, known)
-        note = "determinant re-solve" if closed else "determinant re-solve unavailable"
-    agrees = (closed == solver.counts) if closed is not None else None
-    return ClosedFormCrossCheck(solver=solver, closed_form=closed, agrees=agrees, note=note)

@@ -12,7 +12,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, InvariantError
-from .ring import ChainRing, ElementLike, RingElement
+from .ring import ChainRing, ElementLike
 
 __all__ = [
     "DEFAULT_SUBSET_CAP",
@@ -66,9 +66,6 @@ class RingMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def entry(self, r: int, c: int) -> RingElement:
-        return RingElement(self.ring, self.rows[r][c])
 
     def transpose(self) -> RingMatrix:
         cols = tuple(tuple(row[c] for row in self.rows) for c in range(self.ncols))

@@ -552,6 +552,21 @@ class TestCheck:
         assert out == ""
         assert "--subset-cap must be nonnegative" in err
 
+    def test_subtypes_enumerates_only_the_dual(self, capsys, tmp_path, monkeypatch):
+        # |C| = 64 is over the cap, |C_dual| = 4 is not: subtypes reads only H
+        # and d_dual, so the capped run must print what the uncapped one does.
+        path = tmp_path / "z4.json"
+        path.write_text(json.dumps({
+            "ring": {"p": 2, "s": 2, "backend": "int"},
+            "n": 4,
+            "generators": [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+        }))
+        argv = ("check", str(path), "--identity", "subtypes", "--all-nu")
+        uncapped = run(capsys, *argv)
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "16")
+        assert run(capsys, *argv) == uncapped
+        assert uncapped[0] == 0
+
     def test_subtypes_rejects_nu_zero(self, capsys, c1_file):
         status, _, err = run(capsys, "check", c1_file, "--identity", "subtypes", "--nu", "0")
         assert status == 2

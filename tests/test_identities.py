@@ -15,7 +15,6 @@ from chainring import (
     PascalSystem,
     WeightDistribution,
     check_new_relation,
-    closed_form_crosscheck,
     code_from_generators,
     count_submatrix_types,
     double_count_check,
@@ -26,14 +25,18 @@ from chainring import (
     mds_distribution,
     new_relation_report,
     power_moment,
-    small_defect_distribution,
     solve_distribution,
     solve_distribution_pless,
     submatrix,
     weight_distribution,
 )
 from chainring.identities import binomial
-from oracles import brute_weight_counts, oracle_macwilliams
+from oracles import (
+    brute_weight_counts,
+    closed_form_crosscheck,
+    oracle_macwilliams,
+    small_defect_distribution,
+)
 
 Z4 = ChainRing(2, 2)
 Z9 = ChainRing(3, 2)
