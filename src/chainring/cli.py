@@ -4,8 +4,8 @@ One JSON document per invocation on stdout.  Exit codes: 0 for success (and
 for ``check`` runs whose required identities all hold), 1 when a required
 identity is violated, 2 for usage or input errors, 3 when an exhaustive
 enumeration (of codewords or of column subsets) would exceed its cap, 4 when
-an internal invariant is violated (a bug in chainring, never a verdict on the
-input).
+an internal invariant is violated or any other internal error occurs (a bug
+in chainring, never a verdict on the input).
 
 The ``random`` subcommand is pinned for reproducibility: entries are drawn
 row-major as ``random.Random(seed).randrange(p**s)``, each draw taken as the
@@ -66,7 +66,7 @@ def _load_document(path: str) -> CodeDocument:
     return parse_code_document(_read_input(path))
 
 
-def _frac_str(value: Fraction) -> str:
+def _frac_str(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -187,7 +187,12 @@ def _cmd_wdist(args) -> tuple[Any, int]:
     else:  # mds
         if not code.is_free:
             raise CodeFileError("the mds method needs a free code")
-        dist = mds_distribution(code.n, code.rank, code.ring.p, code.ring.s)
+        n, k = code.n, code.rank
+        # A free code of rank k is MDS exactly when every k-column submatrix
+        # of G has the code's own type (k, 0, ..., 0).
+        if k and count_submatrix_types(code.generator_matrix(), k) != {code.profile: comb(n, k)}:
+            raise CodeFileError("the mds method needs an MDS code, and this free code is not")
+        dist = mds_distribution(n, k, code.ring.p, code.ring.s)
     payload: Any = distribution_to_obj(dist)
     if args.poly:
         payload = {
@@ -273,118 +278,93 @@ def _cmd_classify(args) -> tuple[Any, int]:
     )
 
 
+def _relation(
+    nu: int, lhs: int, rhs: Fraction | int, holds: bool, required: bool
+) -> dict[str, Any]:
+    return {
+        "nu": nu,
+        "lhs": str(lhs),
+        "rhs": _frac_str(rhs),
+        "difference": _frac_str(lhs - rhs),
+        "holds": holds,
+        "required": required,
+    }
+
+
 def _cmd_check(args) -> tuple[Any, int]:
     doc = _load_document(args.file)
     code = doc.to_code()
-    n = code.n
+    n, identity, cap = code.n, args.identity, args.subset_cap
     if args.nu is None and not args.all_nu:
         raise CodeFileError("check needs --nu N or --all-nu")
+    if args.nu is not None and args.all_nu:
+        raise CodeFileError("check takes --nu N or --all-nu, not both")
     if args.nu is not None and not 0 <= args.nu <= n:
         raise CodeFileError(f"--nu must lie in 0..{n}")
-    if args.subset_cap < 0:
+    if cap < 0:
         raise CodeFileError("--subset-cap must be nonnegative")
-
-    # subtypes reads only H and d_dual, so C itself is enumerated only for the
-    # identities that need its distribution.
-    if args.distribution:
-        dist = _distribution_from_counts(code, _parse_counts(args.distribution, n))
-    elif args.identity != "subtypes":
-        dist = weight_distribution(code)
-
-    report: dict[str, Any] = {"identity": args.identity, "n": n}
-    results: list[dict[str, Any]] = []
-    all_required_hold = True
-
-    def push(nu, lhs, rhs, holds, required):
-        nonlocal all_required_hold
-        if required and not holds:
-            all_required_hold = False
-        results.append(
-            {
-                "nu": nu,
-                "lhs": str(lhs),
-                "rhs": _frac_str(rhs) if isinstance(rhs, Fraction) else str(rhs),
-                "difference": _frac_str(Fraction(lhs) - rhs),
-                "holds": holds,
-                "required": required,
-            }
+    if args.distribution and identity == "subtypes":
+        raise CodeFileError(
+            "--identity subtypes reads no weight distribution; drop --distribution"
         )
 
-    def scan_nus(first: int) -> list[int]:
-        # One nu is scanned as asked; the library raises when it is over the
-        # subset cap.  --all-nu skips and reports every nu over the cap, and
-        # refuses when that leaves nothing to check.
-        if not args.all_nu:
-            return [args.nu]
-        nus = range(first, n + 1)
-        skipped = [nu for nu in nus if comb(n, nu) > args.subset_cap]
-        if skipped:
-            if len(skipped) == len(nus):
-                raise CapExceededError(f"every nu exceeds the subset cap of {args.subset_cap}")
-            report["skipped_nu"] = skipped
-        return [nu for nu in nus if comb(n, nu) <= args.subset_cap]
-
-    if args.identity in ("new", "pless", "power", "subtypes"):
+    # Each identity enumerates only what it reads: subtypes needs no C, and
+    # doublecount no C_dual.  subtypes starts at nu = 1, pless stops below d_dual.
+    report: dict[str, Any] = {"identity": identity, "n": n}
+    if args.distribution:
+        dist = _distribution_from_counts(code, _parse_counts(args.distribution, n))
+    elif identity != "subtypes":
+        dist = weight_distribution(code)
+    if identity != "doublecount":
         dual_dist = weight_distribution(dual(code))
-        d_dual = _dual_distance(dual_dist)
-        report["d_dual"] = d_dual
+        d_dual = report["d_dual"] = _dual_distance(dual_dist)
+    first = 1 if identity == "subtypes" else 0
+    last = min(d_dual - 1, n) if identity == "pless" else n
 
-    if args.identity == "new":
-        nus = range(n + 1) if args.all_nu else [args.nu]
-        for nu in nus:
+    if not args.all_nu:
+        if args.nu < first:
+            raise CodeFileError(f"{identity} needs nu >= {first}")
+        if args.nu > last:
+            raise CodeFileError(f"the pless form needs nu < d_dual = {d_dual}")
+        nus = [args.nu]
+    else:
+        nus = range(first, last + 1)
+        if not nus:
+            raise CodeFileError(f"{identity} needs nu >= {first}, and a code of length 0 has none")
+        if identity in ("doublecount", "subtypes"):
+            # One nu asked for is scanned as asked, and the library raises over
+            # the cap; --all-nu skips and lists every nu over it instead.
+            skipped = [nu for nu in nus if comb(n, nu) > cap]
+            if len(skipped) == len(nus):
+                raise CapExceededError(f"every nu exceeds the subset cap of {cap}")
+            if skipped:
+                report["skipped_nu"] = skipped
+            nus = [nu for nu in nus if comb(n, nu) <= cap]
+
+    def evaluate(nu: int) -> dict[str, Any]:
+        if identity == "subtypes":
+            tally = count_submatrix_types(code.parity_check(), nu, cap=cap)
+            return {
+                "nu": nu,
+                "types": [
+                    {"profile": list(profile.counts), "count": count}
+                    for profile, count in sorted(tally.items(), key=lambda item: item[0].counts)
+                ],
+                "holds": tally == {code.profile.dual(n): comb(n, nu)},
+                "required": nu > n - d_dual,
+            }
+        if identity == "doublecount":
+            result = double_count_check(code, nu, distribution=dist, subset_cap=cap)
+            return _relation(nu, result.kernel_side, result.codeword_side, result.holds, True)
+        if identity == "new":
             result = check_new_relation(dist, nu, d_dual=d_dual)
-            push(nu, result.lhs, result.rhs, result.holds, result.required)
-    elif args.identity == "pless":
-        top = min(d_dual - 1, n)
-        nus = range(top + 1) if args.all_nu else [args.nu]
-        for nu in nus:
-            if nu >= d_dual:
-                raise CodeFileError(f"the pless form needs nu < d_dual = {d_dual}")
-            result = power_moment(dist, dual_dist, nu=nu, form="pless")
-            push(nu, result.lhs, result.rhs, result.holds, True)
-    elif args.identity == "power":
-        nus = range(n + 1) if args.all_nu else [args.nu]
-        for nu in nus:
-            result = power_moment(dist, dual_dist, nu=nu, form="full")
-            push(nu, result.lhs, result.rhs, result.holds, True)
-    elif args.identity == "doublecount":
-        for nu in scan_nus(0):
-            result = double_count_check(
-                code, nu, distribution=dist, subset_cap=args.subset_cap
-            )
-            push(nu, result.kernel_side, result.codeword_side, result.holds, True)
-    elif args.identity == "subtypes":
-        parity = code.parity_check()
-        expected = code.profile.dual(n)
-        if not args.all_nu and args.nu < 1:
-            raise CodeFileError("subtypes needs nu >= 1")
-        if n == 0:
-            raise CodeFileError("subtypes needs nu >= 1, and a code of length 0 has none")
-        for nu in scan_nus(1):
-            tally = count_submatrix_types(parity, nu, cap=args.subset_cap)
-            required = nu > n - d_dual
-            only = next(iter(tally)) if len(tally) == 1 else None
-            holds = (
-                only is not None
-                and only == expected
-                and tally[only] == comb(n, nu)
-            )
-            if required and not holds:
-                all_required_hold = False
-            results.append(
-                {
-                    "nu": nu,
-                    "types": [
-                        {"profile": list(profile.counts), "count": count}
-                        for profile, count in sorted(
-                            tally.items(), key=lambda item: item[0].counts
-                        )
-                    ],
-                    "holds": holds,
-                    "required": required,
-                }
-            )
+            return _relation(nu, result.lhs, result.rhs, result.holds, result.required)
+        form = "pless" if identity == "pless" else "full"
+        result = power_moment(dist, dual_dist, nu=nu, form=form)
+        return _relation(nu, result.lhs, result.rhs, result.holds, True)
 
+    results = [evaluate(nu) for nu in nus]
+    all_required_hold = all(result["holds"] for result in results if result["required"])
     report["results"] = results
     report["all_required_hold"] = all_required_hold
     return report, 0 if all_required_hold else 1
@@ -498,6 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     handler = _HANDLERS[args.command]
     try:
         payload, status = handler(args)
+        text = json.dumps(payload, separators=(",", ":"))
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -507,7 +488,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"error: internal invariant violated: {exc}", file=sys.stderr)
         return 4
-    print(json.dumps(payload, separators=(",", ":")))
+    except Exception as exc:  # a bug, not a verdict on the input
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
+    print(text)
     return status
 
 

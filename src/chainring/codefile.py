@@ -114,7 +114,7 @@ class CodeDocument:
     def to_code(self) -> LinearCode:
         return code_from_generators(self.ring, self.n, self.generators)
 
-    def to_obj(self, include_derived: bool = True) -> dict[str, Any]:
+    def to_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {
             "ring": ring_to_obj(self.ring),
             "n": self.n,
@@ -124,12 +124,11 @@ class CodeDocument:
         }
         if self.name is not None:
             obj["name"] = self.name
-        if include_derived:
-            code = self.to_code()
-            obj["profile"] = list(code.profile.counts)
-            obj["rank"] = code.rank
-            obj["free_rank"] = code.free_rank
-            obj["cardinality"] = str(code.cardinality)
+        code = self.to_code()
+        obj["profile"] = list(code.profile.counts)
+        obj["rank"] = code.rank
+        obj["free_rank"] = code.free_rank
+        obj["cardinality"] = str(code.cardinality)
         return obj
 
 

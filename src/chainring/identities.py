@@ -79,21 +79,6 @@ class IdentityContext:
         )
 
     @classmethod
-    def from_distribution(
-        cls, dist: WeightDistribution, d: int | None = None, d_dual: int | None = None
-    ) -> IdentityContext:
-        return cls(
-            n=dist.n,
-            p=dist.p,
-            s=dist.s,
-            card=dist.card,
-            rank=dist.rank,
-            free_rank=dist.free_rank,
-            d=d,
-            d_dual=d_dual,
-        )
-
-    @classmethod
     def from_profile(
         cls,
         n: int,
@@ -215,7 +200,7 @@ def check_new_relation(
     if not 0 <= nu <= n:
         raise ValueError(f"nu must lie in 0..{n}, got {nu}")
     lhs = sum(binomial(n - l, nu - l) * a for l, a in enumerate(dist.counts[: nu + 1]))
-    rhs = binomial(n, nu) * IdentityContext.from_distribution(dist).scaled_cardinality(nu)
+    rhs = binomial(n, nu) * Fraction(dist.card, dist.p ** (dist.s * (n - nu)))
     required = None if d_dual is None else nu > n - d_dual
     return RelationCheck(nu=nu, lhs=lhs, rhs=rhs, holds=lhs == rhs, required=required)
 

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +90,14 @@ def run_length_zero_twins(capsys, tmp_path, *argv):
     return results
 
 
+# Over Z/4: |C| = 64 and |C_dual| = 4; its distribution is 1, 0, 18, 24, 21.
+Z4_DOC = {
+    "ring": {"p": 2, "s": 2, "backend": "int"},
+    "n": 4,
+    "generators": [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]],
+}
+
+
 class TestWdist:
     def test_enumerate_c1(self, capsys, c1_file):
         status, out, _ = run(capsys, "wdist", c1_file)
@@ -116,6 +127,39 @@ class TestWdist:
         status, _, err = run(capsys, "wdist", reference_file, "--method", "mds")
         assert status == 2
         assert "free" in err
+
+    def test_mds_rejects_free_code_that_is_not_mds(self, capsys, tmp_path):
+        # Free of rank 2 over Z/4, but its last column is zero, so the closed
+        # form ["1","0","9","6"] would be wrong.
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(
+            {"ring": {"p": 2, "s": 2}, "n": 3, "generators": [[1, 0, 0], [0, 1, 0]]}
+        ))
+        status, out, err = run(capsys, "wdist", str(path), "--method", "mds")
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: the mds method needs an MDS code, and this free code is not"
+        ]
+        assert run(capsys, "wdist", str(path)) == (0, '["1","6","9","0"]\n', "")
+
+    def test_mds_closed_form_equals_enumeration(self, capsys, tmp_path):
+        path = tmp_path / "mds.json"
+        path.write_text(json.dumps(
+            {"ring": {"p": 2, "s": 2}, "n": 3, "generators": [[1, 0, 1], [0, 1, 1]]}
+        ))
+        closed = run(capsys, "wdist", str(path), "--method", "mds")
+        assert closed == run(capsys, "wdist", str(path)) == (0, '["1","0","9","6"]\n', "")
+
+    def test_mds_over_subset_cap_exits_3(self, capsys, tmp_path):
+        # [I_12 | I_12] over Z/4: comb(24, 12) = 2704156 subsets, over the 10**6 cap.
+        rows = [[int(i == j) for j in range(12)] * 2 for i in range(12)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"ring": {"p": 2, "s": 2}, "n": 24, "generators": rows}))
+        status, out, err = run(capsys, "wdist", str(path), "--method", "mds")
+        assert status == 3
+        assert out == ""
+        assert err.splitlines() == ["error: 2704156 column subsets exceed the cap of 1000000"]
 
     def test_poly_flag(self, capsys, reference_file):
         status, out, _ = run(capsys, "wdist", reference_file, "--poly")
@@ -606,6 +650,32 @@ class TestCheck:
         assert status == 2
         assert "--nu" in err
 
+    @pytest.mark.parametrize("counts", ["1,0,18,24,21", "1,2,3,4,5"], ids=["true", "bad-total"])
+    def test_subtypes_refuses_distribution(self, capsys, tmp_path, counts):
+        # subtypes reads no distribution of C: even the true one (first) is an
+        # input error, and a malformed one is refused for the same reason.
+        path = tmp_path / "z4.json"
+        path.write_text(json.dumps(Z4_DOC))
+        status, out, err = run(
+            capsys, "check", str(path), "--identity", "subtypes", "--all-nu",
+            "--distribution", counts,
+        )
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: --identity subtypes reads no weight distribution; drop --distribution"
+        ]
+
+    @pytest.mark.parametrize("identity", ["new", "pless", "power", "doublecount", "subtypes"])
+    @pytest.mark.parametrize("nu", ["1", "9"])
+    def test_nu_with_all_nu_exits_2(self, capsys, c1_file, identity, nu):
+        status, out, err = run(
+            capsys, "check", c1_file, "--identity", identity, "--all-nu", "--nu", nu
+        )
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == ["error: check takes --nu N or --all-nu, not both"]
+
 
 class TestRandom:
     def test_byte_identical_runs(self, capsys):
@@ -752,6 +822,72 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             main(["wdist"])  # missing file argument
         assert exc.value.code == 2
+
+    def test_internal_error_exits_4_without_traceback(self, capsys, c1_file, monkeypatch):
+        def broken(*args, **kwargs):
+            return 1 // 0
+
+        monkeypatch.setattr(chainring.cli, "weight_distribution", broken)
+        status, out, err = run(capsys, "wdist", c1_file)
+        assert status == 4
+        assert out == ""
+        assert err.splitlines() == [
+            "error: internal error: ZeroDivisionError: integer division or modulo by zero"
+        ]
+        assert "Traceback" not in err
+
+    def test_unserializable_payload_exits_4(self, capsys, c1_file, monkeypatch):
+        monkeypatch.setitem(chainring.cli._HANDLERS, "card", lambda args: ({1j}, 0))
+        status, out, err = run(capsys, "card", c1_file)
+        assert status == 4
+        assert out == ""
+        assert err.splitlines() == [
+            "error: internal error: TypeError: Object of type set is not JSON serializable"
+        ]
+
+
+# What `python -m chainring` runs, after the card handler is broken.
+BROKEN_CARD = """
+import runpy
+import chainring.cli
+chainring.cli._HANDLERS["card"] = lambda args: (1 // 0, 0)
+runpy.run_module("chainring", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_module(stdin, *argv, broken=False):
+    src = str(Path(chainring.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    command = ["-c", BROKEN_CARD] if broken else ["-m", "chainring"]
+    return subprocess.run(
+        [sys.executable, *command, *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+class TestModuleEntry:
+    """The same exit codes through ``python -m chainring`` and ``entry()``."""
+
+    def test_valid_document_exits_0(self):
+        done = run_module(json.dumps(C1_DOC), "wdist", "-")
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, '["1","0","248","0","15376"]\n', ""
+        )
+
+    def test_malformed_document_exits_2(self):
+        done = run_module("{}", "card", "-")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == "error: code file is missing the 'ring' descriptor\n"
+
+    def test_internal_error_exits_4(self):
+        done = run_module(json.dumps(C1_DOC), "card", "-", broken=True)
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: internal error: ZeroDivisionError: integer division or modulo by zero"
+        ]
 
 
 # -- malformed documents -----------------------------------------------------
