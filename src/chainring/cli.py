@@ -2,10 +2,11 @@
 
 One JSON document per invocation on stdout.  Exit codes: 0 for success (and
 for ``check`` runs whose required identities all hold), 1 when a required
-identity is violated, 2 for usage or input errors, 3 when an exhaustive
-enumeration (of codewords or of column subsets) would exceed its cap, 4 when
-an internal invariant is violated or any other internal error occurs (a bug
-in chainring, never a verdict on the input).
+identity is violated, 2 for usage or input errors and for output that cannot
+be written (a closed stdout), 3 when an exhaustive enumeration (of codewords
+or of column subsets) would exceed its cap, 4 when an internal invariant is
+violated or any other internal error occurs (a bug in chainring, never a
+verdict on the input).
 
 The ``random`` subcommand is pinned for reproducibility: entries are drawn
 row-major as ``random.Random(seed).randrange(p**s)``, each draw taken as the
@@ -17,8 +18,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random as _random
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -178,6 +181,9 @@ def _cmd_card(args) -> tuple[Any, int]:
 def _cmd_wdist(args) -> tuple[Any, int]:
     doc = _load_document(args.file)
     code = doc.to_code()
+    for flag, value in (("--known", args.known), ("--d", args.d)):
+        if value is not None and args.method != "solve":
+            raise CodeFileError(f"{flag} is read only by --method solve; drop it")
     if args.method == "enumerate":
         dist = weight_distribution(code)
     elif args.method == "solve":
@@ -294,16 +300,20 @@ def _relation(
 def _cmd_check(args) -> tuple[Any, int]:
     doc = _load_document(args.file)
     code = doc.to_code()
-    n, identity, cap = code.n, args.identity, args.subset_cap
+    n, identity = code.n, args.identity
+    scans = identity in ("doublecount", "subtypes")  # column subsets of H
     if args.nu is None and not args.all_nu:
         raise CodeFileError("check needs --nu N or --all-nu")
     if args.nu is not None and args.all_nu:
         raise CodeFileError("check takes --nu N or --all-nu, not both")
     if args.nu is not None and not 0 <= args.nu <= n:
         raise CodeFileError(f"--nu must lie in 0..{n}")
+    if args.subset_cap is not None and not scans:
+        raise CodeFileError(f"--identity {identity} scans no column subsets; drop --subset-cap")
+    cap = DEFAULT_SUBSET_CAP if args.subset_cap is None else args.subset_cap
     if cap < 0:
         raise CodeFileError("--subset-cap must be nonnegative")
-    if args.distribution and identity == "subtypes":
+    if args.distribution is not None and identity == "subtypes":
         raise CodeFileError(
             "--identity subtypes reads no weight distribution; drop --distribution"
         )
@@ -311,7 +321,7 @@ def _cmd_check(args) -> tuple[Any, int]:
     # Each identity enumerates only what it reads: subtypes needs no C, and
     # doublecount no C_dual.  subtypes starts at nu = 1, pless stops below d_dual.
     report: dict[str, Any] = {"identity": identity, "n": n}
-    if args.distribution:
+    if args.distribution is not None:
         dist = _distribution_from_counts(code, _parse_counts(args.distribution, n))
     elif identity != "subtypes":
         dist = weight_distribution(code)
@@ -331,7 +341,7 @@ def _cmd_check(args) -> tuple[Any, int]:
         nus = range(first, last + 1)
         if not nus:
             raise CodeFileError(f"{identity} needs nu >= {first}, and a code of length 0 has none")
-        if identity in ("doublecount", "subtypes"):
+        if scans:
             # One nu asked for is scanned as asked, and the library raises over
             # the cap; --all-nu skips and lists every nu over it instead.
             skipped = [nu for nu in nus if comb(n, nu) > cap]
@@ -449,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument("--nu", type=int)
     check.add_argument("--all-nu", dest="all_nu", action="store_true")
-    check.add_argument("--subset-cap", dest="subset_cap", type=int, default=DEFAULT_SUBSET_CAP)
+    check.add_argument("--subset-cap", dest="subset_cap", type=int)
     check.add_argument(
         "--distribution",
         help="comma list of counts to validate instead of enumerating",
@@ -491,7 +501,15 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a bug, not a verdict on the input
         print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    print(text)
+    try:
+        print(text, flush=True)
+    except OSError as exc:  # the reader has closed stdout
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # What is still buffered goes to the null device when Python flushes
+        # stdout at exit, rather than failing a second time.
+        with suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return status
 
 

@@ -38,6 +38,7 @@ class LinearCode:
         self.ring = ring
         self.n = n
         self.std = std
+        self._generators: RingMatrix | None = None
         self._parity: RingMatrix | None = None
 
     @property
@@ -61,10 +62,12 @@ class LinearCode:
         return self.rank == self.free_rank
 
     def generator_matrix(self) -> RingMatrix:
-        """Reduced generator matrix with columns restored to original order."""
-        inv = _inverse_positions(self.std.column_permutation)
-        rows = tuple(tuple(row[j] for j in inv) for row in self.std.reduced.rows)
-        return RingMatrix(self.ring, rows, self.n)
+        """Reduced generator matrix with columns restored to original order; cached."""
+        if self._generators is None:
+            inv = _inverse_positions(self.std.column_permutation)
+            rows = tuple(tuple(row[j] for j in inv) for row in self.std.reduced.rows)
+            self._generators = RingMatrix(self.ring, rows, self.n)
+        return self._generators
 
     def parity_check(self) -> RingMatrix:
         """(n - k0) x n matrix whose kernel is exactly this code.
@@ -112,14 +115,7 @@ def code_from_generators(
     ring: ChainRing, n: int, rows: Iterable[Sequence[ElementLike]]
 ) -> LinearCode:
     """The code spanned by the given rows; an empty list yields the zero code."""
-    rows = list(rows)
-    if rows:
-        matrix = RingMatrix.build(ring, rows, ncols=n)
-        if matrix.ncols != n:
-            raise ValueError(f"generator rows of width {matrix.ncols}, expected {n}")
-    else:
-        matrix = RingMatrix(ring, (), n)
-    return LinearCode(ring, n, standard_form(matrix))
+    return LinearCode(ring, n, standard_form(RingMatrix.build(ring, rows, ncols=n)))
 
 
 # -- systematic parity check -------------------------------------------------

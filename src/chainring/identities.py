@@ -13,6 +13,9 @@ tolerance.  The machinery:
   valid below the dual distance),
 * exact solvers that complete a partial distribution from either system, and
 * the closed form for MDS codes.
+
+Each identity is one row, the coefficients of A_0..A_n and an exact right
+side, which its check evaluates and its solver stacks.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .code import LinearCode
 from .enumeration import WeightDistribution, weight_distribution
@@ -67,15 +70,8 @@ class IdentityContext:
     def from_code(
         cls, code: LinearCode, d: int | None = None, d_dual: int | None = None
     ) -> IdentityContext:
-        return cls(
-            n=code.n,
-            p=code.ring.p,
-            s=code.ring.s,
-            card=code.cardinality,
-            rank=code.rank,
-            free_rank=code.free_rank,
-            d=d,
-            d_dual=d_dual,
+        return cls.from_profile(
+            code.n, code.ring.p, code.ring.s, code.profile.counts, d=d, d_dual=d_dual
         )
 
     @classmethod
@@ -130,6 +126,36 @@ class DoubleCountCheck:
     kernel_side: int
     codeword_side: int
     holds: bool
+
+
+# -- rows -----------------------------------------------------------------------
+# One identity at one nu: the coefficients of A_0..A_n and the exact right side.
+# ``params`` is a context or a distribution; both carry n, p, s and card.
+
+
+def _check_nu(n: int, nu: int) -> None:
+    if not 0 <= nu <= n:
+        raise ValueError(f"nu must lie in 0..{n}, got {nu}")
+
+
+def _pascal_row(n: int, nu: int) -> list[int]:
+    """C(n-l, nu-l) for l = 0..n: the subset-count coefficients."""
+    _check_nu(n, nu)
+    return [binomial(n - l, nu - l) for l in range(n + 1)]
+
+
+def _subset_count_row(params, nu: int) -> tuple[list[int], Fraction]:
+    """sum_l C(n-l, nu-l) A_l  ==  C(n, nu) |C| / p^(s(n-nu))."""
+    coeffs = _pascal_row(params.n, nu)
+    return coeffs, binomial(params.n, nu) * IdentityContext.scaled_cardinality(params, nu)
+
+
+def _moment_row(params, nu: int) -> tuple[list[int], Fraction]:
+    """sum_l C(l, nu) A_l  ==  (|C| / q^nu) C(n, nu) (q-1)^nu, below the dual distance."""
+    n, q = params.n, params.p**params.s
+    _check_nu(n, nu)
+    coeffs = [binomial(l, nu) for l in range(n + 1)]
+    return coeffs, Fraction(params.card, q**nu) * binomial(n, nu) * (q - 1) ** nu
 
 
 # -- MacWilliams ---------------------------------------------------------------
@@ -196,12 +222,9 @@ def check_new_relation(
     the ``required`` flag marks that range, below it the residual is simply
     reported.
     """
-    n = dist.n
-    if not 0 <= nu <= n:
-        raise ValueError(f"nu must lie in 0..{n}, got {nu}")
-    lhs = sum(binomial(n - l, nu - l) * a for l, a in enumerate(dist.counts[: nu + 1]))
-    rhs = binomial(n, nu) * Fraction(dist.card, dist.p ** (dist.s * (n - nu)))
-    required = None if d_dual is None else nu > n - d_dual
+    coeffs, rhs = _subset_count_row(dist, nu)
+    lhs = sum(c * a for c, a in zip(coeffs, dist.counts))
+    required = None if d_dual is None else nu > dist.n - d_dual
     return RelationCheck(nu=nu, lhs=lhs, rhs=rhs, holds=lhs == rhs, required=required)
 
 
@@ -229,18 +252,14 @@ def double_count_check(
     row space and |ker H_I| = q^nu / |rowspace(H_I)| is read off the type of
     the reduced submatrix.
     """
-    n = code.n
-    if not 0 <= nu <= n:
-        raise ValueError(f"nu must lie in 0..{n}, got {nu}")
+    coeffs = _pascal_row(code.n, nu)
     ring = code.ring
     kernel_side = sum(
         ring.size**nu // profile.module_size(ring.p) * count
         for profile, count in _subset_profiles(code.parity_check(), nu, subset_cap).items()
     )
     dist = distribution if distribution is not None else weight_distribution(code)
-    codeword_side = sum(
-        binomial(n - l, nu - l) * a for l, a in enumerate(dist.counts[: nu + 1])
-    )
+    codeword_side = sum(c * a for c, a in zip(coeffs, dist.counts))
     return DoubleCountCheck(
         nu=nu,
         kernel_side=kernel_side,
@@ -268,32 +287,28 @@ def power_moment(
         (|C| / p^(s nu)) * C(n, n-nu) (p^s-1)^nu.
     The form defaults to "full" when a dual distribution is supplied.
     """
-    n, card = dist.n, dist.card
-    q = dist.p**dist.s
-    if not 0 <= nu <= n:
-        raise ValueError(f"nu must lie in 0..{n}, got {nu}")
+    n = dist.n
+    coeffs, short_rhs = _moment_row(dist, nu)
     if form is None:
         form = "full" if dual_dist is not None else "pless"
-    lhs = sum(binomial(j, nu) * a for j, a in enumerate(dist.counts))
-    factor = Fraction(card, q**nu)
+    lhs = sum(c * a for c, a in zip(coeffs, dist.counts))
     if form == "full":
         if dual_dist is None:
             raise ValueError("the full power-moment form needs the dual distribution")
+        q = dist.p**dist.s
         acc = 0
         for j in range(nu + 1):
             t = binomial(n - j, n - nu) * (q - 1) ** (nu - j) * dual_dist.counts[j]
             acc += -t if j & 1 else t
-        rhs = factor * acc
+        rhs = Fraction(dist.card, q**nu) * acc
     elif form == "pless":
-        if dual_dist is not None:
-            dd = dual_dist.min_positive_weight
-        else:
-            dd = macwilliams_transform(dist).min_positive_weight
+        dual = dual_dist if dual_dist is not None else macwilliams_transform(dist)
+        dd = dual.min_positive_weight
         if dd is None:
             dd = n + 1  # zero dual: every term beyond A_0 vanishes at all nu
         if nu >= dd:
             raise ValueError(f"the short form needs nu < dual distance {dd}, got {nu}")
-        rhs = factor * binomial(n, n - nu) * (q - 1) ** nu
+        rhs = short_rhs
     else:
         raise ValueError(f"unknown form {form!r}; expected 'full' or 'pless'")
     return RelationCheck(nu=nu, lhs=lhs, rhs=rhs, holds=lhs == rhs)
@@ -320,10 +335,11 @@ class PascalSystem:
     def build(cls, ctx: IdentityContext) -> PascalSystem:
         if ctx.d_dual is None:
             raise ValueError("building the system needs the dual minimum distance")
-        nus = tuple(range(ctx.n - ctx.d_dual + 1, ctx.n + 1))
+        # A d_dual past n + 1 (no code has one) adds no equation.
+        nus = tuple(range(max(ctx.n - ctx.d_dual + 1, 0), ctx.n + 1))
         rhs = []
         for nu in nus:
-            value = binomial(ctx.n, nu) * ctx.scaled_cardinality(nu)
+            value = _subset_count_row(ctx, nu)[1]
             if value.denominator != 1 or value < 0:
                 raise ValueError(
                     f"right-hand side at nu={nu} is {value}, not a nonnegative "
@@ -333,35 +349,30 @@ class PascalSystem:
         return cls(n=ctx.n, nus=nus, rhs=tuple(rhs))
 
     def coefficient(self, nu: int, l: int) -> int:
-        return binomial(self.n - l, nu - l)
+        return _pascal_row(self.n, nu)[l]
 
 
-def _solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
+def _solve_exact(rows: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve an (m x u) system with m >= u by exact Gaussian elimination.
 
-    Requires full column rank; surplus equations must be consistent.
+    Requires full column rank; surplus equations must be consistent, which
+    with u = 0 checks every equation.
     """
     m = len(rows)
     u = len(rows[0]) if rows else 0
     work = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(u):
-        pivot = next((i for i in range(r, m) if work[i][c] != 0), None)
+    for r in range(u):
+        pivot = next((i for i in range(r, m) if work[i][r] != 0), None)
         if pivot is None:
             raise ValueError("singular system: the given unknowns are not determined")
         work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / work[r][c]
+        inv = 1 / Fraction(work[r][r])
         work[r] = [x * inv for x in work[r]]
         for i in range(m):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
+            if i != r and work[i][r] != 0:
+                f = work[i][r]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, m):
+    for i in range(u, m):
         if work[i][u] != 0:
             raise ValueError(
                 "inconsistent inputs: the supplied values satisfy no common solution"
@@ -372,8 +383,7 @@ def _solve_exact(
 def _fill_known(ctx: IdentityContext, known: Mapping[int, int]) -> dict[int, int]:
     filled: dict[int, int] = {}
     for idx, value in known.items():
-        idx = int(idx)
-        value = int(value)
+        idx, value = int(idx), int(value)
         if not 0 <= idx <= ctx.n:
             raise ValueError(f"known index {idx} out of range 0..{ctx.n}")
         if value < 0:
@@ -394,49 +404,36 @@ def _fill_known(ctx: IdentityContext, known: Mapping[int, int]) -> dict[int, int
 
 def _complete(
     ctx: IdentityContext,
-    known: dict[int, int],
-    equations: list[tuple[list[Fraction], Fraction]],
-    capacity: int,
+    known: Mapping[int, int],
+    stack: Callable[[], list[tuple[list[int], Fraction]]],
 ) -> WeightDistribution:
+    """Both solvers' one path: fill the knowns, stack the rows, solve the rest."""
+    if ctx.d_dual is None:
+        raise ValueError("solving needs the dual minimum distance in the context")
+    known = _fill_known(ctx, known)
+    equations = stack()
     unknowns = [l for l in range(ctx.n + 1) if l not in known]
-    if len(unknowns) > capacity:
+    if len(unknowns) > ctx.d_dual:
         raise ValueError(
-            f"underdetermined: {len(unknowns)} unknowns but only {capacity} "
+            f"underdetermined: {len(unknowns)} unknowns but only {ctx.d_dual} "
             "independent equations"
         )
-    counts: list[int] = [0] * (ctx.n + 1)
-    for idx, value in known.items():
-        counts[idx] = value
-    if unknowns:
-        rows = [[coeffs[l] for l in unknowns] for coeffs, _ in equations]
-        rhs = [
-            b - sum(coeffs[l] * known[l] for l in known)
-            for (coeffs, b) in equations
-        ]
-        solution = _solve_exact(rows, rhs)
-        for l, value in zip(unknowns, solution):
-            if value.denominator != 1 or value < 0:
-                raise ValueError(
-                    f"inconsistent inputs: A_{l} solves to {value}, which is not "
-                    "a nonnegative integer"
-                )
-            counts[l] = int(value)
-    else:
-        for coeffs, b in equations:
-            got = sum(coeffs[l] * known[l] for l in known)
-            if got != b:
-                raise ValueError("inconsistent inputs: known values violate the system")
+    counts = [known.get(l, 0) for l in range(ctx.n + 1)]
+    rows = [[coeffs[l] for l in unknowns] for coeffs, _ in equations]
+    rhs = [b - sum(coeffs[l] * v for l, v in known.items()) for coeffs, b in equations]
+    for l, value in zip(unknowns, _solve_exact(rows, rhs)):
+        if value.denominator != 1 or value < 0:
+            raise ValueError(
+                f"inconsistent inputs: A_{l} solves to {value}, which is not "
+                "a nonnegative integer"
+            )
+        counts[l] = int(value)
     if ctx.d is not None and counts[ctx.d] == 0:
         raise ValueError(f"A_{ctx.d} = 0 contradicts minimum distance {ctx.d}")
     try:
         return WeightDistribution(
-            n=ctx.n,
-            counts=tuple(counts),
-            p=ctx.p,
-            s=ctx.s,
-            card=ctx.card,
-            rank=ctx.rank,
-            free_rank=ctx.free_rank,
+            n=ctx.n, counts=tuple(counts), p=ctx.p, s=ctx.s,
+            card=ctx.card, rank=ctx.rank, free_rank=ctx.free_rank,
         )
     except ValueError as exc:
         raise ValueError(f"inconsistent inputs: {exc}") from exc
@@ -451,18 +448,9 @@ def solve_distribution(
     outnumber the d_dual equations.  Non-integral or negative solutions mean
     the inputs belong to no code and raise ValueError.
     """
-    if ctx.d_dual is None:
-        raise ValueError("solving needs the dual minimum distance in the context")
-    filled = _fill_known(ctx, known)
-    system = PascalSystem.build(ctx)
-    equations = [
-        (
-            [Fraction(system.coefficient(nu, l)) for l in range(ctx.n + 1)],
-            Fraction(b),
-        )
-        for nu, b in zip(system.nus, system.rhs)
-    ]
-    return _complete(ctx, filled, equations, ctx.d_dual)
+    return _complete(
+        ctx, known, lambda: [_subset_count_row(ctx, nu) for nu in PascalSystem.build(ctx).nus]
+    )
 
 
 def solve_distribution_pless(
@@ -473,16 +461,9 @@ def solve_distribution_pless(
     Equivalent to the Pascal route whenever both are determined, which gives
     an independent consistency check on solved distributions.
     """
-    if ctx.d_dual is None:
-        raise ValueError("solving needs the dual minimum distance in the context")
-    filled = _fill_known(ctx, known)
-    q = ctx.p**ctx.s
-    equations = []
-    for nu in range(ctx.d_dual):
-        coeffs = [Fraction(binomial(l, nu)) for l in range(ctx.n + 1)]
-        rhs = Fraction(ctx.card, q**nu) * binomial(ctx.n, ctx.n - nu) * (q - 1) ** nu
-        equations.append((coeffs, rhs))
-    return _complete(ctx, filled, equations, ctx.d_dual)
+    return _complete(
+        ctx, known, lambda: [_moment_row(ctx, nu) for nu in range(min(ctx.d_dual, ctx.n + 1))]
+    )
 
 
 # -- closed form -------------------------------------------------------------------

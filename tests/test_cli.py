@@ -994,3 +994,106 @@ class TestMalformedDocuments:
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
             assert "Traceback" not in err.getvalue()
+
+
+# -- every count known, unread inputs, closed stdout --------------------------
+
+
+class TestSolveWithEveryCountKnown:
+    """``--d 2`` fills A_0 and A_1; the knowns give the rest, so nothing is unknown."""
+
+    def test_consistent_counts_come_back(self, capsys, c1_file):
+        status, out, err = run(
+            capsys, "wdist", c1_file, "--method", "solve", "--d", "2",
+            "--known", "2=248,3=0,4=15376",
+        )
+        assert (status, out, err) == (0, '["1","0","248","0","15376"]\n', "")
+
+    def test_inconsistent_counts_exit_2(self, capsys, c1_file):
+        status, out, err = run(
+            capsys, "wdist", c1_file, "--method", "solve", "--d", "2",
+            "--known", "2=248,3=1,4=15375",
+        )
+        assert (status, out) == (2, "")
+        assert err.splitlines() == [
+            "error: inconsistent inputs: the supplied values satisfy no common solution"
+        ]
+
+
+class TestUnreadInputs:
+    """A flag the chosen identity or method never reads exits 2, naming the flag."""
+
+    def test_empty_distribution_is_a_malformed_count_list(self, capsys, c1_file):
+        status, out, err = run(
+            capsys, "check", c1_file, "--identity", "new", "--all-nu", "--distribution", ""
+        )
+        assert (status, out) == (2, "")
+        assert err.splitlines() == ["error: counts must be integers or decimal strings, got ''"]
+
+    def test_subtypes_refuses_empty_distribution(self, capsys, c1_file):
+        status, out, err = run(
+            capsys, "check", c1_file, "--identity", "subtypes", "--all-nu", "--distribution", ""
+        )
+        assert (status, out) == (2, "")
+        assert err.splitlines() == [
+            "error: --identity subtypes reads no weight distribution; drop --distribution"
+        ]
+
+    @pytest.mark.parametrize("cap", ["3", "-1"])
+    @pytest.mark.parametrize("identity", ["new", "pless", "power"])
+    def test_subset_cap_without_a_scan_exits_2(self, capsys, c1_file, identity, cap):
+        status, out, err = run(
+            capsys, "check", c1_file, "--identity", identity, "--all-nu", "--subset-cap", cap
+        )
+        assert (status, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: --identity {identity} scans no column subsets; drop --subset-cap"
+        ]
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--known", "2=5"], "--known"),
+            (["--d", "3"], "--d"),
+            (["--known", "2=5", "--d", "3"], "--known"),
+            (["--method", "mds", "--d", "2"], "--d"),
+        ],
+    )
+    def test_wdist_hints_without_solve_exit_2(self, capsys, c1_file, extra, flag):
+        status, out, err = run(capsys, "wdist", c1_file, *extra)
+        assert (status, out) == (2, "")
+        assert err.splitlines() == [f"error: {flag} is read only by --method solve; drop it"]
+
+
+def run_into_closed_pipe(stdin, *argv):
+    """``python -m chainring`` with stdout a pipe whose read end is already closed."""
+    src = str(Path(chainring.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "chainring", *argv],
+            input=stdin, stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["card", "-"],
+            # Output longer than the stream's buffer.
+            ["random", "--p", "5", "--s", "3", "--n", "400", "--rows", "40", "--seed", "1"],
+        ],
+    )
+    def test_exits_2_with_one_line_and_no_traceback(self, argv):
+        done = run_into_closed_pipe(json.dumps(C1_DOC), *argv)
+        assert done.returncode == 2
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
+        assert "Traceback" not in done.stderr
+        assert "Exception ignored" not in done.stderr

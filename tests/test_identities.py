@@ -553,3 +553,32 @@ class TestClosedFormCrossCheck:
                 assert "inverse-Pascal" in report.note
                 seen += 1
         assert seen >= 1
+
+
+class TestEveryCountKnown:
+    """No unknown left: the solvers only check the knowns against every row."""
+
+    C1_COUNTS = (1, 0, 248, 0, 15376)
+
+    @pytest.mark.parametrize("solve", [solve_distribution, solve_distribution_pless])
+    def test_consistent_knowns_come_back(self, solve):
+        known = {2: 248, 3: 0, 4: 15376}
+        assert solve(c1_context(d=2, d_dual=2), known).counts == self.C1_COUNTS
+
+    @pytest.mark.parametrize("solve", [solve_distribution, solve_distribution_pless])
+    def test_inconsistent_knowns_are_refused(self, solve):
+        # Same total as c1, so only the rows can tell.
+        with pytest.raises(
+            ValueError,
+            match="^inconsistent inputs: the supplied values satisfy no common solution$",
+        ):
+            solve(c1_context(d=2, d_dual=2), {2: 248, 3: 1, 4: 15375})
+
+    def test_rows_match_the_oracle_formulas(self):
+        # The check evaluates, and the solver stacks, the same relation.
+        ctx = c1_context(d=2, d_dual=2)
+        system = PascalSystem.build(ctx)
+        for nu, b in zip(system.nus, system.rhs):
+            coeffs = [system.coefficient(nu, l) for l in range(ctx.n + 1)]
+            assert coeffs == [comb(ctx.n - l, nu - l) if l <= nu else 0 for l in range(ctx.n + 1)]
+            assert check_new_relation(c1_dist(), nu).rhs == b
