@@ -77,12 +77,12 @@ def _frac_str(value: Fraction | int) -> str:
 
 def _parse_known(text: str | None) -> dict[int, int]:
     known: dict[int, int] = {}
-    if not text:
+    if text is None:
         return known
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) > 1 and not parts[-1]:
+        parts.pop()  # one trailing comma after an entry
+    for part in parts:
         idx, eq, val = (x.strip() for x in part.partition("="))
         if not eq or not (idx.isascii() and idx.isdigit()):
             raise CodeFileError(f"known entry {part!r} is not of the form index=count")

@@ -40,6 +40,16 @@ and the compare buffer are allocated once per call at that size; each
 iteration zeroes and fills views of their leading rows.  A digit whose radix
 p exceeds a table is split into contiguous chunks of its range, since
 [a, a+b)*h == a*h + [0, b)*h, so no ring falls back to a word per iteration.
+
+Two weights to a bin.  ``np.bincount`` first widens its input to intp, eight
+bytes a word, which cost about a third of ``weight_distribution``.  Below
+n = 256 the counters are uint8, so the histogram reads each array as uint16
+pairs, each the value w_a + 256*w_b, and counts half as many values into
+256*(n+1) bins (an odd last word is counted on its own).  The pair in bin
+(high, low) is one word of weight high and one of weight low, so the
+histogram is the sum of the two marginals of the (n+1) x 256 bin table: as
+both are added, the fold does not depend on which word of a pair the
+machine's byte order puts high.
 """
 
 from __future__ import annotations
@@ -47,7 +57,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from math import prod
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -273,6 +283,24 @@ def _check_cap(total: int, cap: int | None) -> None:
         raise CapExceededError(f"code has {total} words, above the enumeration cap {limit}")
 
 
+def _histogram(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Counts of weights 0..n over a stream of counter arrays of ``_narrowest(n + 1)``."""
+    hist = np.zeros(n + 1, dtype=np.int64)
+    if _narrowest(n + 1) != np.uint8:
+        for weights in stream:
+            hist += np.bincount(weights, minlength=n + 1)
+        return hist
+    # Two weights to a bin: w_a + 256*w_b, in either byte order.
+    bins = np.zeros(256 * (n + 1), dtype=np.int64)
+    for weights in stream:
+        even = len(weights) & ~1
+        if even < len(weights):
+            hist[weights[-1]] += 1
+        bins += np.bincount(weights[:even].view(np.uint16), minlength=len(bins))
+    pairs = bins.reshape(n + 1, 256)[:, : n + 1]
+    return hist + pairs.sum(axis=0) + pairs.sum(axis=1)
+
+
 def weight_distribution(code: LinearCode, *, cap: int | None = None) -> WeightDistribution:
     """Exact Hamming-weight histogram of all codewords."""
     _check_cap(code.cardinality, cap)
@@ -280,9 +308,7 @@ def weight_distribution(code: LinearCode, *, cap: int | None = None) -> WeightDi
     if space.total != code.cardinality:
         raise InvariantError("message space size differs from the cardinality formula")
     n = code.n
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for weights in space.weights():
-        hist += np.bincount(weights, minlength=n + 1)
+    hist = _histogram(space.weights(), n)
     return WeightDistribution(
         n=n,
         counts=tuple(int(x) for x in hist),

@@ -28,6 +28,7 @@ from typing import Callable, Mapping
 from .code import LinearCode
 from .enumeration import WeightDistribution, weight_distribution
 from .matrix import DEFAULT_SUBSET_CAP, TypeProfile, _subset_profiles
+from .ring import ChainRing
 
 __all__ = [
     "DoubleCountCheck",
@@ -410,6 +411,8 @@ def _complete(
     """Both solvers' one path: fill the knowns, stack the rows, solve the rest."""
     if ctx.d_dual is None:
         raise ValueError("solving needs the dual minimum distance in the context")
+    if not 1 <= ctx.d_dual <= ctx.n + 1:
+        raise ValueError(f"dual distance {ctx.d_dual} out of range 1..{ctx.n + 1}")
     known = _fill_known(ctx, known)
     equations = stack()
     unknowns = [l for l in range(ctx.n + 1) if l not in known]
@@ -475,6 +478,7 @@ def mds_distribution(n: int, rank: int, p: int, s: int) -> WeightDistribution:
     With q = p**s and d = n - rank + 1:
         A_w = C(n, w) * sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1).
     """
+    ChainRing(p, s)  # the rules of a ring
     if not 1 <= rank <= n:
         raise ValueError(f"rank must lie in 1..{n}, got {rank}")
     q = p**s

@@ -1097,3 +1097,18 @@ class TestClosedStdout:
         assert len(lines) == 1 and lines[0].startswith("error: cannot write output: "), lines
         assert "Traceback" not in done.stderr
         assert "Exception ignored" not in done.stderr
+
+
+class TestEmptyKnown:
+    """An empty --known entry is malformed, as an empty --distribution is."""
+
+    @pytest.mark.parametrize("known", ["", ",", " , ", "2=248,,", ",2=248"])
+    def test_empty_entry_refused(self, capsys, tmp_path, known):
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"ring": {"p": 2, "s": 2}, "n": 2, "generators": [[1, 1]]}))
+        status, out, err = run(
+            capsys, "wdist", str(path), "--method", "solve", "--d", "2", "--known", known
+        )
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == ["error: known entry '' is not of the form index=count"]

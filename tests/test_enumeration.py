@@ -21,12 +21,13 @@ from chainring import (
     render_enumerator,
     weight_distribution,
 )
-from chainring import dual, mds_distribution
+from chainring import dual, macwilliams_transform, mds_distribution
 from chainring.enumeration import (
     _BLOCK_CELLS,
     DEFAULT_ENUMERATION_CAP,
     ENUMERATION_CAP_ENV,
     _MessageSpace,
+    _histogram,
 )
 from oracles import brute_weight_counts
 
@@ -435,3 +436,52 @@ class TestKernel:
         # On F_3[u]/(u^5) an unreduced plane would overflow the uint8 sums.
         code = code_from_generators(ring, len(rows[0]), rows)
         assert weight_distribution(code).counts == counts
+
+
+class TestPairHistogram:
+    """uint8 weights counted two to a bin, and the odd last word on its own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([0, 1, 14, 255]), st.data())
+    def test_matches_plain_bincount(self, n, data):
+        # Arrays of zero, odd and even length, in a stream of up to four.
+        arrays = data.draw(st.lists(st.lists(st.integers(0, n), max_size=81), max_size=4))
+        stream = [np.array(weights, dtype=np.uint8) for weights in arrays]
+        expected = np.zeros(n + 1, dtype=np.int64)
+        for weights in stream:
+            expected += np.bincount(weights, minlength=n + 1)
+        assert _histogram(iter(stream), n).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    def test_last_uint8_length_reaches_weight_255(self, backend):
+        # Weights 100, 155 and 255 at n = 255: pairs of weight-255 words fill
+        # the top bin, 255 + 256*255 = 65535.
+        ring = ChainRing(2, 2, backend)
+        n = 255
+        rows = [[1] * n, [0] * 100 + [2] * 155]
+        code = code_from_generators(ring, n, rows)
+        assert next(_MessageSpace(code).weights()).dtype == np.uint8
+        counts = weight_distribution(code).counts
+        assert counts == brute_weight_counts(ring, rows, n)
+        assert {w: c for w, c in enumerate(counts) if c} == {0: 1, 100: 1, 155: 1, 255: 5}
+
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    @pytest.mark.parametrize(
+        "n, rows, counts",
+        [(0, [], (1,)), (1, [], (1, 0)), (1, [[1]], (1, 3)), (1, [[2]], (1, 1))],
+        ids=["n0", "n1-zero", "n1-unit", "n1-ideal"],
+    )
+    def test_lengths_zero_and_one(self, backend, n, rows, counts):
+        ring = ChainRing(2, 2, backend)
+        assert weight_distribution(code_from_generators(ring, n, rows)).counts == counts
+        assert counts == brute_weight_counts(ring, rows, n)
+
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    def test_wide_ring_code_with_odd_arrays(self, backend):
+        # A free [5, 3] code over Z/81 or F_3[u]/(u^4): an inner table of
+        # 3**7 = 2,187 words, so grids of an odd number of rows yield odd arrays.
+        code = _systematic(ChainRing(3, 4, backend), 5, 3, 0)
+        assert code.cardinality == 81**3
+        assert any(len(weights) % 2 for weights in _MessageSpace(code).weights())
+        expected = macwilliams_transform(weight_distribution(dual(code)))
+        assert weight_distribution(code).counts == expected.counts

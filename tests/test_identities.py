@@ -582,3 +582,29 @@ class TestEveryCountKnown:
             coeffs = [system.coefficient(nu, l) for l in range(ctx.n + 1)]
             assert coeffs == [comb(ctx.n - l, nu - l) if l <= nu else 0 for l in range(ctx.n + 1)]
             assert check_new_relation(c1_dist(), nu).rhs == b
+
+
+class TestImpossibleInputsRefused:
+    """A dual distance no code has, and a ring that does not exist."""
+
+    @pytest.mark.parametrize("solve", [solve_distribution, solve_distribution_pless])
+    @pytest.mark.parametrize("d_dual", [0, -1, 6])
+    def test_dual_distance_out_of_range(self, solve, d_dual):
+        # d_dual = 0 stacked no row and returned (1, 0, 1000, 5000, 9624).
+        with pytest.raises(ValueError, match=f"^dual distance {d_dual} out of range 1..5$"):
+            solve(c1_context(d=2, d_dual=d_dual), {2: 1000, 3: 5000, 4: 9624})
+
+    @pytest.mark.parametrize("solve", [solve_distribution, solve_distribution_pless])
+    def test_dual_distance_n_plus_one_still_solves(self, solve):
+        # The full space's dual is the zero code, of distance n + 1.
+        ctx = IdentityContext(n=2, p=2, s=2, card=16, rank=2, free_rank=2, d_dual=3)
+        assert solve(ctx, {}).counts == (1, 6, 9)
+
+    @pytest.mark.parametrize(
+        "p, s, message",
+        [(4, 3, "p must be a prime integer, got 4"), (2, 0, "s must be an integer >= 1, got 0")],
+    )
+    def test_mds_distribution_needs_a_ring(self, p, s, message):
+        # p = 4 returned (1, 0, 0, 252, 3843).
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mds_distribution(4, 2, p, s)
