@@ -43,13 +43,17 @@ p exceeds a table is split into contiguous chunks of its range, since
 
 Two weights to a bin.  ``np.bincount`` first widens its input to intp, eight
 bytes a word, which cost about a third of ``weight_distribution``.  Below
-n = 256 the counters are uint8, so the histogram reads each array as uint16
-pairs, each the value w_a + 256*w_b, and counts half as many values into
-256*(n+1) bins (an odd last word is counted on its own).  The pair in bin
-(high, low) is one word of weight high and one of weight low, so the
-histogram is the sum of the two marginals of the (n+1) x 256 bin table: as
-both are added, the fold does not depend on which word of a pair the
-machine's byte order puts high.
+n = 64 the histogram reads each uint8 counter array as uint16 pairs, each
+the value w_a + 256*w_b, and counts half as many values into 256*(n+1) bins
+(an odd last word is counted on its own).  The pair in bin (high, low) is
+one word of weight high and one of weight low, so the histogram is the sum
+of the two marginals of the (n+1) x 256 bin table: as both are added, the
+fold does not depend on which word of a pair the machine's byte order puts
+high.  The bin table is bounded by the pairs of a full grid,
+``_BLOCK_CELLS // 2`` cells, since each iteration allocates and adds a table
+of that size: wider tables cost more than the widening they save (measured
+on 2**16-word Z/4 codes, from n = 104 every call is slower), so longer
+codes keep the plain count.
 """
 
 from __future__ import annotations
@@ -286,11 +290,10 @@ def _check_cap(total: int, cap: int | None) -> None:
 def _histogram(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
     """Counts of weights 0..n over a stream of counter arrays of ``_narrowest(n + 1)``."""
     hist = np.zeros(n + 1, dtype=np.int64)
-    if _narrowest(n + 1) != np.uint8:
+    if 256 * (n + 1) > _BLOCK_CELLS // 2:
         for weights in stream:
             hist += np.bincount(weights, minlength=n + 1)
         return hist
-    # Two weights to a bin: w_a + 256*w_b, in either byte order.
     bins = np.zeros(256 * (n + 1), dtype=np.int64)
     for weights in stream:
         even = len(weights) & ~1

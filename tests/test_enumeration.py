@@ -442,8 +442,9 @@ class TestPairHistogram:
     """uint8 weights counted two to a bin, and the odd last word on its own."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([0, 1, 14, 255]), st.data())
+    @given(st.sampled_from([0, 1, 14, 63, 64, 255]), st.data())
     def test_matches_plain_bincount(self, n, data):
+        # n = 63 is the widest pair table, 64 and 255 take the plain count.
         # Arrays of zero, odd and even length, in a stream of up to four.
         arrays = data.draw(st.lists(st.lists(st.integers(0, n), max_size=81), max_size=4))
         stream = [np.array(weights, dtype=np.uint8) for weights in arrays]
@@ -454,8 +455,7 @@ class TestPairHistogram:
 
     @pytest.mark.parametrize("backend", ["int", "poly"])
     def test_last_uint8_length_reaches_weight_255(self, backend):
-        # Weights 100, 155 and 255 at n = 255: pairs of weight-255 words fill
-        # the top bin, 255 + 256*255 = 65535.
+        # Weights 100, 155 and 255 at n = 255, the widest uint8 counters.
         ring = ChainRing(2, 2, backend)
         n = 255
         rows = [[1] * n, [0] * 100 + [2] * 155]
@@ -464,6 +464,31 @@ class TestPairHistogram:
         counts = weight_distribution(code).counts
         assert counts == brute_weight_counts(ring, rows, n)
         assert {w: c for w, c in enumerate(counts) if c} == {0: 1, 100: 1, 155: 1, 255: 5}
+
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    def test_widest_pair_table_reaches_its_top_bin(self, backend):
+        # Weights 20, 43 and 63 at n = 63: pairs of weight-63 words fill the
+        # top bin, 63 + 256*63.
+        ring = ChainRing(2, 2, backend)
+        n = 63
+        rows = [[1] * n, [0] * 20 + [2] * 43]
+        code = code_from_generators(ring, n, rows)
+        counts = weight_distribution(code).counts
+        assert counts == brute_weight_counts(ring, rows, n)
+        assert {w: c for w, c in enumerate(counts) if c} == {0: 1, 20: 1, 43: 1, 63: 5}
+
+    @pytest.mark.parametrize("n", [63, 255], ids=["widest-pairs", "widest-uint8"])
+    def test_traced_peak_stays_under_one_mib(self, n):
+        # 4**8 words: full grids of _BLOCK_CELLS words, two of them.
+        code = _systematic(Z4, n, 8, 0)
+        assert code.cardinality >= 2 * _BLOCK_CELLS
+        tracemalloc.start()
+        try:
+            weight_distribution(code)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("backend", ["int", "poly"])
     @pytest.mark.parametrize(

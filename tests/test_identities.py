@@ -602,9 +602,14 @@ class TestImpossibleInputsRefused:
 
     @pytest.mark.parametrize(
         "p, s, message",
-        [(4, 3, "p must be a prime integer, got 4"), (2, 0, "s must be an integer >= 1, got 0")],
+        [
+            (4, 3, "p must be a prime integer, got 4"),
+            (2, 0, "s must be an integer >= 1, got 0"),
+            (2, 40, r"ring size 2\*\*40 exceeds the supported bound 2\*\*31"),
+        ],
     )
     def test_mds_distribution_needs_a_ring(self, p, s, message):
-        # p = 4 returned (1, 0, 0, 252, 3843).
+        # p = 4 returned (1, 0, 0, 252, 3843); no ring of the library is
+        # larger than 2**31.
         with pytest.raises(ValueError, match=f"^{message}$"):
             mds_distribution(4, 2, p, s)
