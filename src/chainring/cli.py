@@ -75,14 +75,20 @@ def _frac_str(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _split_list(text: str) -> list[str]:
+    """The entries of a comma list, stripped.  One trailing comma after an
+    entry is dropped; any other empty entry is kept for the caller to refuse."""
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) > 1 and not parts[-1]:
+        parts.pop()
+    return parts
+
+
 def _parse_known(text: str | None) -> dict[int, int]:
     known: dict[int, int] = {}
     if text is None:
         return known
-    parts = [part.strip() for part in text.split(",")]
-    if len(parts) > 1 and not parts[-1]:
-        parts.pop()  # one trailing comma after an entry
-    for part in parts:
+    for part in _split_list(text):
         idx, eq, val = (x.strip() for x in part.partition("="))
         if not eq or not (idx.isascii() and idx.isdigit()):
             raise CodeFileError(f"known entry {part!r} is not of the form index=count")
@@ -94,7 +100,7 @@ def _parse_known(text: str | None) -> dict[int, int]:
 
 
 def _parse_counts(text: str, n: int) -> list[int]:
-    counts = [count_from_obj(p.strip()) for p in text.split(",")]
+    counts = [count_from_obj(part) for part in _split_list(text)]
     if len(counts) != n + 1:
         raise CodeFileError(f"distribution needs {n + 1} counts, got {len(counts)}")
     return counts
@@ -187,9 +193,10 @@ def _cmd_wdist(args) -> tuple[Any, int]:
     if args.method == "enumerate":
         dist = weight_distribution(code)
     elif args.method == "solve":
+        known = _parse_known(args.known)  # refused before C_dual is enumerated
         dual_dist = weight_distribution(dual(code))
         ctx = IdentityContext.from_code(code, d=args.d, d_dual=_dual_distance(dual_dist))
-        dist = solve_distribution(ctx, _parse_known(args.known))
+        dist = solve_distribution(ctx, known)
     else:  # mds
         if not code.is_free:
             raise CodeFileError("the mds method needs a free code")

@@ -67,6 +67,7 @@ import numpy as np
 
 from .code import LinearCode, _inverse_positions
 from .errors import CapExceededError, InvariantError
+from .ring import ChainRing
 
 __all__ = [
     "DEFAULT_ENUMERATION_CAP",
@@ -112,6 +113,12 @@ class WeightDistribution:
     free_rank: int
 
     def __post_init__(self) -> None:
+        ChainRing(self.p, self.s)  # the rules of a ring
+        if not 0 <= self.free_rank <= self.rank <= self.n:
+            raise ValueError(
+                "need 0 <= free_rank <= rank <= n, got "
+                f"{self.free_rank}, {self.rank} and {self.n}"
+            )
         if len(self.counts) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} counts, got {len(self.counts)}")
         if self.counts[0] != 1:

@@ -153,7 +153,7 @@ def _eliminate(ring: ChainRing, work: list[list[int]], ncols: int) -> tuple[list
     sum(counts) rows of ``work`` are then the reduced rows, the rest zero.
     See ``standard_form`` for the pivot rule.
     """
-    add, mul = ring.add, ring.mul
+    add, mul, neg, valuation, unit_part, inverse = ring.ops
     nrows = len(work)
     perm = list(range(ncols))
     counts = [0] * ring.s
@@ -165,7 +165,7 @@ def _eliminate(ring: ChainRing, work: list[list[int]], ncols: int) -> tuple[list
             for r in range(piv, nrows):
                 row = work[r]
                 for c in range(piv, ncols):
-                    if row[c] and ring.valuation(row[c]) == level:
+                    if row[c] and valuation(row[c]) == level:
                         hit = (r, c)
                         break
                 if hit:
@@ -180,7 +180,7 @@ def _eliminate(ring: ChainRing, work: list[list[int]], ncols: int) -> tuple[list
                     row[piv], row[c] = row[c], row[piv]
                 perm[piv], perm[c] = perm[c], perm[piv]
             pivot_row = work[piv]
-            scale = ring.inverse(ring.unit_part(pivot_row[piv]))
+            scale = inverse(unit_part(pivot_row[piv]))
             if scale != 1:
                 work[piv] = pivot_row = [mul(scale, x) if x else 0 for x in pivot_row]
             support = [(c, y) for c, y in enumerate(pivot_row) if y]
@@ -197,7 +197,7 @@ def _eliminate(ring: ChainRing, work: list[list[int]], ncols: int) -> tuple[list
                 _, f = ring.split(entry, level)
                 if f == 0:
                     continue
-                f = ring.neg(f)
+                f = neg(f)
                 for c2, y in support:
                     row2[c2] = add(row2[c2], mul(f, y))
             counts[level] += 1
@@ -281,7 +281,7 @@ def _insert(ring: ChainRing, module: _Module, counts: tuple[int, ...], column, k
     ``_reshape``).  With ``keep`` false only the counts are returned (the
     module is None), for leaves of the walk.
     """
-    add, mul, valuation = ring.add, ring.mul, ring.valuation
+    add, mul, neg, valuation, unit_part, inverse = ring.ops
     v = list(column)
     rows = None  # a list of the module's rows once a swap has replaced one
     for t, row in enumerate(module):
@@ -305,7 +305,7 @@ def _insert(ring: ChainRing, module: _Module, counts: tuple[int, ...], column, k
             counts = tuple(moved)
             continue
         v[j] = 0
-        f = ring.neg(f)
+        f = neg(f)
         for i, y in support:
             v[i] = add(v[i], mul(f, y))
     if rows is not None:
@@ -324,7 +324,7 @@ def _insert(ring: ChainRing, module: _Module, counts: tuple[int, ...], column, k
     counts = counts[:e] + (counts[e] + 1,) + counts[e + 1 :]
     if not keep:
         return None, counts
-    scale = ring.inverse(ring.unit_part(v[j]))
+    scale = inverse(unit_part(v[j]))
     support = tuple((i, mul(scale, x)) for i, x in enumerate(v) if x and i != j)
     return module + ((j, e, ring.gamma_pow(e), support),), counts
 
@@ -339,10 +339,10 @@ def _swap(ring: ChainRing, row, v: list[int], e1: int, keep: bool):
     >= e: the column left to reduce against the rows after this one.  u and
     w span what the row and v span.
     """
-    add, mul = ring.add, ring.mul
+    add, mul, neg, _, unit_part, inverse = ring.ops
     j, e, ge, support = row
-    scale = ring.inverse(ring.unit_part(v[j]))
-    g = mul(ring.neg(ring.gamma_pow(e - e1)), scale)  # w = row + g * v
+    scale = inverse(unit_part(v[j]))
+    g = mul(neg(ring.gamma_pow(e - e1)), scale)  # w = row + g * v
     w = [mul(g, x) if x else 0 for x in v]
     w[j] = 0  # gamma**e + g * v[j] == gamma**e - gamma**e
     for i, y in support:
@@ -389,8 +389,10 @@ def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile,
     H_I has the type of the module its columns span in R^r (r = nrows).  The
     subsets are walked depth first in lexicographic order, each node holding
     the reduced column module of its prefix, so subsets with a common prefix
-    share its reduction.  Once the prefix spans all of R^r (t_0 = r), every
-    extension has the same type and the whole subtree is counted at once.
+    share its reduction.  A node one column short counts its leaves as it
+    adds their columns, without keeping their modules.  Once the prefix spans
+    all of R^r (t_0 = r), every extension has the same type and the whole
+    subtree is counted at once.
     nu = 0 counts the single empty subset.  Raises CapExceededError, before
     any column is reduced, if comb(ncols, nu) exceeds the cap.
     """
@@ -408,12 +410,17 @@ def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile,
         start, left, module, counts = stack.pop()
         if counts == full:
             tally[full] = tally.get(full, 0) + comb(ncols - start, left)
-        elif left == 0:
+        elif left == 0:  # the empty subset, nu = 0
             tally[counts] = tally.get(counts, 0) + 1
+        elif left == 1:
+            # The children are leaves: counted here, in lexicographic order.
+            for c in range(start, ncols):
+                _, leaf = _insert(ring, module, counts, columns[c], False)
+                tally[leaf] = tally.get(leaf, 0) + 1
         else:
             # Children are pushed last first, so they are visited in lexicographic order.
             for c in range(ncols - left, start - 1, -1):
-                child = _insert(ring, module, counts, columns[c], left > 1)
+                child = _insert(ring, module, counts, columns[c], True)
                 stack.append((c + 1, left - 1, *child))
     return {TypeProfile(counts): k for counts, k in tally.items()}
 

@@ -21,6 +21,8 @@ Scalar add, neg, mul, valuation, unit part and inverse on rings of at most
 each for add and mul and one of q entries for each of the others, built on
 first use, cached per (p, s, backend) and shared by equal rings.  Larger rings
 compute modulo p**s (integer backend) or digit by digit (polynomial backend).
+``ChainRing.ops`` hands inner loops all six operations at once: the table
+lookups themselves up to ``TABLE_RING_SIZE``, the ring's methods above it.
 """
 
 from __future__ import annotations
@@ -173,6 +175,12 @@ class ChainRing:
     _valuation_table = _table(3)
     _unit_part_table = _table(4)
     _inverse_table = _table(5)
+
+    @cached_property
+    def ops(self) -> tuple:
+        """(add, mul, neg, valuation, unit_part, inverse) on codes, for loops
+        that bind them once; see ``_ops``."""
+        return _ops(self.p, self.s, self.backend)
 
     @property
     def gamma_code(self) -> int:
@@ -358,6 +366,26 @@ class ChainRing:
         if self.backend == "int":
             return f"Z/{self.size}"
         return f"F_{self.p}[u]/(u^{self.s})"
+
+
+@lru_cache(maxsize=8)
+def _ops(p: int, s: int, backend: str) -> tuple:
+    """The scalar kit of a ring, shared by equal rings: table lookups up to
+    TABLE_RING_SIZE, the methods of one equal ring above it (bound to that
+    ring, so a ring's cached kit never refers back to the ring itself).  The
+    lookups check nothing: unit_part must get a nonzero code, inverse a unit."""
+    if p**s > TABLE_RING_SIZE:
+        ring = ChainRing(p, s, backend)
+        return ring.add, ring.mul, ring.neg, ring.valuation, ring.unit_part, ring.inverse
+    add, neg, mul, valuation, unit_part, inverse = _tables(p, s, backend)
+    return (
+        lambda a, b: add[a][b],
+        lambda a, b: mul[a][b],
+        neg.__getitem__,
+        valuation.__getitem__,
+        unit_part.__getitem__,
+        inverse.__getitem__,
+    )
 
 
 @dataclass(frozen=True)

@@ -1112,3 +1112,42 @@ class TestEmptyKnown:
         assert status == 2
         assert out == ""
         assert err.splitlines() == ["error: known entry '' is not of the form index=count"]
+
+
+class TestCommaLists:
+    """--known and --distribution split alike: one trailing comma after an
+    entry is allowed, any other empty entry exits 2."""
+
+    @pytest.fixture
+    def rep_file(self, tmp_path):
+        # The Z/4 repetition code: distribution 1, 0, 3.
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps({"ring": {"p": 2, "s": 2}, "n": 2, "generators": [[1, 1]]}))
+        return str(path)
+
+    def test_known_is_parsed_before_the_dual_is_enumerated(self, capsys, rep_file, monkeypatch):
+        # C_dual has 4 words: above a cap of 1, the refusal of --known still wins.
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "1")
+        status, out, err = run(
+            capsys, "wdist", rep_file, "--method", "solve", "--d", "2", "--known", ","
+        )
+        assert (status, out) == (2, "")
+        assert err.splitlines() == ["error: known entry '' is not of the form index=count"]
+
+    @pytest.mark.parametrize("distribution", ["1,0,3,", " 1 , 0 , 3 , "])
+    def test_distribution_accepts_one_trailing_comma(self, capsys, rep_file, distribution):
+        status, out, _ = run(
+            capsys, "check", rep_file, "--identity", "new", "--all-nu",
+            "--distribution", distribution,
+        )
+        assert status == 0
+        assert json.loads(out)["all_required_hold"] is True
+
+    @pytest.mark.parametrize("distribution", ["", ",", "1,,0", "1,0,3,,", ",1,0,3"])
+    def test_distribution_refuses_other_empty_entries(self, capsys, rep_file, distribution):
+        status, out, err = run(
+            capsys, "check", rep_file, "--identity", "new", "--all-nu",
+            "--distribution", distribution,
+        )
+        assert (status, out) == (2, "")
+        assert err.splitlines() == ["error: counts must be integers or decimal strings, got ''"]

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from chainring import (
     CapExceededError,
     ChainRing,
+    WeightDistribution,
     code_from_generators,
     enumerate_codewords,
     enumeration_cap,
@@ -510,3 +511,23 @@ class TestPairHistogram:
         assert any(len(weights) % 2 for weights in _MessageSpace(code).weights())
         expected = macwilliams_transform(weight_distribution(dual(code)))
         assert weight_distribution(code).counts == expected.counts
+
+
+class TestDistributionParameters:
+    """A distribution's ring and ranks follow the rules a code's do."""
+
+    @pytest.mark.parametrize(
+        "p, s, message",
+        [(4, 1, "p must be a prime integer, got 4"), (2, 0, "s must be an integer >= 1, got 0")],
+    )
+    def test_rejects_a_ring_that_does_not_exist(self, p, s, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            WeightDistribution(n=2, counts=(1, 0, 0), p=p, s=s, card=1, rank=0, free_rank=0)
+
+    @pytest.mark.parametrize("rank, free_rank", [(3, 0), (1, 2), (0, -1), (-1, -1)])
+    def test_rejects_impossible_ranks(self, rank, free_rank):
+        # rank 3 over n = 2 was accepted, and its transform had free_rank -1.
+        with pytest.raises(ValueError, match="^need 0 <= free_rank <= rank <= n, got "):
+            WeightDistribution(
+                n=2, counts=(1, 0, 0), p=2, s=1, card=1, rank=rank, free_rank=free_rank
+            )

@@ -370,6 +370,41 @@ class TestCountSubmatrixTypes:
             count_submatrix_types(m, 4)
 
 
+# Rings above TABLE_RING_SIZE, whose ring.ops are the ring's own methods;
+# every ring of SCAN_RINGS reads tables.
+METHOD_SCAN_RINGS = [Z125, ChainRing(5, 3, "poly")]
+
+
+@st.composite
+def method_ring_nonunit_matrix(draw, max_rows=3, max_cols=5):
+    """As nonunit_matrix, over METHOD_SCAN_RINGS."""
+    ring = draw(st.sampled_from(METHOD_SCAN_RINGS))
+    nonunits = st.integers(0, ring.size // ring.p - 1).map(lambda k: k * ring.p)
+    entry = st.one_of(nonunits, nonunits, st.integers(0, ring.size - 1))
+    nrows = draw(st.integers(0, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    rows = tuple(tuple(draw(entry) for _ in range(ncols)) for _ in range(nrows))
+    return RingMatrix(ring, rows, ncols)
+
+
+class TestScanAboveTheTableBound:
+    def test_matches_reduction_of_every_submatrix(self, monkeypatch):
+        seen = spy_on_module_changes(monkeypatch)
+
+        # Columns (25,0), (5,1), (1,0): u^2 and u are the codes 25 and 5 on
+        # the poly backend too, so both examples swap and reshape.
+        @settings(max_examples=60, deadline=None)
+        @given(method_ring_nonunit_matrix())
+        @example(RingMatrix.build(Z125, [(25, 5, 1), (0, 1, 0)]))
+        @example(RingMatrix(ChainRing(5, 3, "poly"), ((25, 5, 1), (0, 1, 0)), 3))
+        def check(matrix):
+            for nu in range(1, matrix.ncols + 1):
+                assert count_submatrix_types(matrix, nu) == reduced_submatrix_tally(matrix, nu), nu
+
+        check()
+        assert seen["swap"] and seen["reshape"]
+
+
 class TestTypeFormulas:
     def test_module_size(self):
         assert TypeProfile((1, 2)).module_size(2) == 16

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pickle
 import random
+import weakref
 from dataclasses import fields
 
 import pytest
@@ -342,3 +343,55 @@ class TestTables:
         back = pickle.loads(data)
         assert back == ring and hash(back) == hash(ring)
         assert back.mul(top, top) == product == oracle_mul(ring, top, top)
+
+
+class TestOps:
+    """``ring.ops`` is the six scalar operations, bound once for inner loops."""
+
+    @staticmethod
+    def assert_ops_agree(ring, pairs):
+        add, mul, neg, valuation, unit_part, inverse = ring.ops
+        for a, b in pairs:
+            assert add(a, b) == ring.add(a, b), (a, b)
+            assert mul(a, b) == ring.mul(a, b), (a, b)
+        for a in {a for pair in pairs for a in pair}:
+            assert neg(a) == ring.neg(a), a
+            assert valuation(a) == ring.valuation(a), a
+            if a:
+                assert unit_part(a) == ring.unit_part(a), a
+            if a % ring.p:
+                assert inverse(a) == ring.inverse(a), a
+
+    # Every table ring, Z/81 and F_3[u]/(u^4) at the bound among them.
+    @pytest.mark.parametrize("ring", _rings(1, TABLE_RING_SIZE), ids=str)
+    def test_table_kit_agrees_on_every_pair(self, ring):
+        codes = ring.elements()
+        self.assert_ops_agree(ring, [(a, b) for a in codes for b in codes])
+        assert not any(isinstance(getattr(f, "__self__", None), ChainRing) for f in ring.ops)
+
+    @pytest.mark.parametrize(
+        "ring", [Z125, ChainRing(5, 3, "poly"), ChainRing(257, 2)], ids=str
+    )
+    def test_method_kit_agrees_on_sampled_pairs(self, ring):
+        rng = random.Random(str(ring))
+        pairs = [(rng.randrange(ring.size), rng.randrange(ring.size)) for _ in range(300)]
+        pairs += [(0, 0), (1, ring.size - 1), (ring.p, ring.p ** (ring.s - 1))]
+        self.assert_ops_agree(ring, pairs)
+        methods = [ChainRing.add, ChainRing.mul, ChainRing.neg, ChainRing.valuation,
+                   ChainRing.unit_part, ChainRing.inverse]
+        assert [f.__func__ for f in ring.ops] == methods
+        assert all(f.__self__ == ring for f in ring.ops)
+
+    @pytest.mark.parametrize("key", [(3, 4, "poly"), (257, 2, "int")], ids=str)
+    def test_equal_rings_share_one_kit_that_stays_out_of_pickles(self, key):
+        ring = ChainRing(*key)
+        assert ring.ops is ring.ops is ChainRing(*key).ops
+        assert "ops" not in vars(pickle.loads(pickle.dumps(ring)))
+
+    def test_kit_does_not_keep_its_ring_alive(self):
+        # Bound to the ring itself, a method kit would make a reference cycle.
+        ring = ChainRing(257, 2)
+        ring.ops
+        alive = weakref.ref(ring)
+        del ring
+        assert alive() is None
