@@ -8,16 +8,13 @@ moments, and exact recovery of full distributions from partial data.
 from .code import (
     CodeProfile,
     LinearCode,
-    cardinality,
     classify,
     code_from_generators,
     dual,
     kernel_code,
-    parity_check,
 )
 from .enumeration import (
     WeightDistribution,
-    enumerate_codewords,
     enumeration_cap,
     min_distance,
     render_enumerator,
@@ -43,14 +40,10 @@ from .matrix import (
     StandardForm,
     TypeProfile,
     count_submatrix_types,
-    identity_matrix,
-    matmul,
-    matrix_type,
-    rowspace_size,
     standard_form,
     submatrix,
 )
-from .ring import ChainRing, RingElement, gamma_decompose, unit_inverse
+from .ring import ChainRing
 
 __version__ = "0.1.0"
 
@@ -64,37 +57,27 @@ __all__ = [
     "LinearCode",
     "PascalSystem",
     "RelationCheck",
-    "RingElement",
     "RingMatrix",
     "StandardForm",
     "TypeProfile",
     "WeightDistribution",
-    "cardinality",
     "check_new_relation",
     "classify",
     "code_from_generators",
     "count_submatrix_types",
     "double_count_check",
     "dual",
-    "enumerate_codewords",
     "enumeration_cap",
-    "gamma_decompose",
-    "identity_matrix",
     "kernel_code",
     "macwilliams_transform",
-    "matmul",
-    "matrix_type",
     "mds_distribution",
     "min_distance",
     "new_relation_report",
-    "parity_check",
     "power_moment",
     "render_enumerator",
-    "rowspace_size",
     "solve_distribution",
     "solve_distribution_pless",
     "standard_form",
     "submatrix",
-    "unit_inverse",
     "weight_distribution",
 ]

@@ -38,7 +38,12 @@ from .codefile import (
     permutation_to_obj,
     ring_to_obj,
 )
-from .enumeration import WeightDistribution, render_enumerator, weight_distribution
+from .enumeration import (
+    WeightDistribution,
+    _check_card,
+    render_enumerator,
+    weight_distribution,
+)
 from .errors import CapExceededError, InvariantError
 from .identities import (
     IdentityContext,
@@ -215,25 +220,6 @@ def _cmd_wdist(args) -> tuple[Any, int]:
     return payload, 0
 
 
-def _check_card(card: int, p: int, s: int, rank: int, free_rank: int) -> None:
-    """Refuse a cardinality that no code of this rank and free rank has.
-
-    Such a code is a sum of ``free_rank`` copies of R (p**s words each) and
-    ``rank - free_rank`` proper ideals (p to p**(s-1) words each).
-    """
-    low = s * free_rank + (rank - free_rank)
-    high = s * free_rank + (s - 1) * (rank - free_rank)
-    m, rest = 0, card
-    while rest > 1 and rest % p == 0:
-        rest //= p
-        m += 1
-    if rest != 1 or not low <= m <= high:
-        raise CodeFileError(
-            f"--card {card} is not {p}**m with {low} <= m <= {high}, the sizes of codes "
-            f"of rank {rank} and free rank {free_rank} over a ring of {p}**{s} elements"
-        )
-
-
 def _cmd_mac(args) -> tuple[Any, int]:
     ChainRing(args.p, args.s)  # the rules of a document's ring
     if not 0 <= args.free_rank <= args.rank <= args.n:
@@ -251,7 +237,10 @@ def _cmd_mac(args) -> tuple[Any, int]:
         raise CodeFileError("distribution input must be a JSON array")
     counts = tuple(count_from_obj(x) for x in raw)
     card = count_from_obj(args.card)
-    _check_card(card, args.p, args.s, args.rank, args.free_rank)
+    try:
+        _check_card(card, args.p, args.s, args.rank, args.free_rank)
+    except ValueError as exc:  # named by its flag: "--card N is not p**m ..."
+        raise CodeFileError(f"--{exc}") from exc
     dist = WeightDistribution(
         n=args.n,
         counts=counts,

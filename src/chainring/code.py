@@ -22,12 +22,10 @@ from .ring import ChainRing, ElementLike
 __all__ = [
     "CodeProfile",
     "LinearCode",
-    "cardinality",
     "classify",
     "code_from_generators",
     "dual",
     "kernel_code",
-    "parity_check",
 ]
 
 
@@ -80,22 +78,6 @@ class LinearCode:
             _verify_orthogonal(self.generator_matrix(), rows, self.ring)
             self._parity = RingMatrix(self.ring, tuple(rows), self.n)
         return self._parity
-
-    def contains(self, vector: Sequence[ElementLike]) -> bool:
-        """Membership test via the parity check."""
-        if len(vector) != self.n:
-            raise ValueError(f"vector of length {len(vector)} in a code of length {self.n}")
-        ring = self.ring
-        codes = [ring.encode(v) for v in vector]
-        return not any(_dot(ring, hrow, codes) for hrow in self.parity_check().rows)
-
-    def same_codewords(self, other: LinearCode) -> bool:
-        """Exact codeword-set equality (no enumeration needed)."""
-        if self.ring != other.ring or self.n != other.n:
-            return False
-        if self.cardinality != other.cardinality:
-            return False
-        return all(other.contains(row) for row in self.generator_matrix().rows)
 
     def __repr__(self) -> str:
         return (
@@ -161,11 +143,6 @@ def _verify_orthogonal(
         raise InvariantError("generator and parity-check rows are not orthogonal")
 
 
-def parity_check(code: LinearCode) -> RingMatrix:
-    """Parity-check matrix of the code, columns in original order."""
-    return code.parity_check()
-
-
 def dual(code: LinearCode) -> LinearCode:
     """The dual code, generated by the parity-check rows.
 
@@ -188,10 +165,6 @@ def kernel_code(matrix: RingMatrix) -> LinearCode:
     whole ambient space p**(s*n).
     """
     return dual(code_from_generators(matrix.ring, matrix.ncols, matrix.rows))
-
-
-def cardinality(code: LinearCode) -> int:
-    return code.cardinality
 
 
 @dataclass(frozen=True)

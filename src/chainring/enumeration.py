@@ -5,7 +5,7 @@ of valuation i ranges over the p**(s-i) canonical representatives of
 R / gamma**(s-i) R, so no deduplication is needed and the yield equals the
 cardinality formula.  Weights are taken in the reduced (permuted)
 coordinates, which is valid because column permutations preserve Hamming
-weight; the codeword stream itself restores original coordinates.
+weight.
 
 Digit rows.  A representative c < p**(s-i) has base-p digits d_m (in the
 polynomial backend, its coefficients), and c*g is the sum of the integer
@@ -65,7 +65,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .code import LinearCode, _inverse_positions
+from .code import LinearCode
 from .errors import CapExceededError, InvariantError
 from .ring import ChainRing
 
@@ -73,7 +73,6 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP",
     "ENUMERATION_CAP_ENV",
     "WeightDistribution",
-    "enumerate_codewords",
     "enumeration_cap",
     "min_distance",
     "render_enumerator",
@@ -100,6 +99,34 @@ def enumeration_cap() -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
+def _check_ring_and_ranks(n: int, p: int, s: int, rank: int, free_rank: int) -> None:
+    """Refuse a ring that does not exist, or ranks no length-n code has."""
+    ChainRing(p, s)  # the rules of a ring
+    if not 0 <= free_rank <= rank <= n:
+        raise ValueError(
+            f"need 0 <= free_rank <= rank <= n, got {free_rank}, {rank} and {n}"
+        )
+
+
+def _check_card(card: int, p: int, s: int, rank: int, free_rank: int) -> None:
+    """Refuse a cardinality that no code of this rank and free rank has.
+
+    Such a code is a sum of ``free_rank`` copies of R (p**s words each) and
+    ``rank - free_rank`` proper ideals (p to p**(s-1) words each).
+    """
+    low = s * free_rank + (rank - free_rank)
+    high = s * free_rank + (s - 1) * (rank - free_rank)
+    m, rest = 0, card
+    while rest > 1 and rest % p == 0:
+        rest //= p
+        m += 1
+    if rest != 1 or not low <= m <= high:
+        raise ValueError(
+            f"card {card} is not {p}**m with {low} <= m <= {high}, the sizes of codes "
+            f"of rank {rank} and free rank {free_rank} over a ring of {p}**{s} elements"
+        )
+
+
 @dataclass(frozen=True)
 class WeightDistribution:
     """Exact codeword counts by Hamming weight, with the code's parameters."""
@@ -113,12 +140,7 @@ class WeightDistribution:
     free_rank: int
 
     def __post_init__(self) -> None:
-        ChainRing(self.p, self.s)  # the rules of a ring
-        if not 0 <= self.free_rank <= self.rank <= self.n:
-            raise ValueError(
-                "need 0 <= free_rank <= rank <= n, got "
-                f"{self.free_rank}, {self.rank} and {self.n}"
-            )
+        _check_ring_and_ranks(self.n, self.p, self.s, self.rank, self.free_rank)
         if len(self.counts) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} counts, got {len(self.counts)}")
         if self.counts[0] != 1:
@@ -237,10 +259,6 @@ class _MessageSpace:
         for index in range(prod(radix for _, radix in high)):
             yield self.table(high, index, low)
 
-    def words(self) -> Iterator[np.ndarray]:
-        """Every codeword in message order."""
-        return self.tables([(h, self.p) for h in self.digits.astype(self.wide)])
-
     def weights(self) -> Iterator[np.ndarray]:
         """Weights of every codeword, one flat array per kernel iteration.
 
@@ -328,18 +346,6 @@ def weight_distribution(code: LinearCode, *, cap: int | None = None) -> WeightDi
         rank=code.rank,
         free_rank=code.free_rank,
     )
-
-
-def enumerate_codewords(code: LinearCode, *, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield every codeword exactly once, as element-code tuples in original coordinates."""
-    _check_cap(code.cardinality, cap)
-    space = _MessageSpace(code)
-    perm = code.std.column_permutation
-    take = np.array(_inverse_positions(perm), dtype=np.intp) if perm else None
-    for table in space.words():
-        restored = table[:, take] if take is not None else table
-        for row in restored.tolist():
-            yield tuple(row)
 
 
 def min_distance(code: LinearCode, *, cap: int | None = None) -> int:

@@ -26,7 +26,12 @@ from math import comb
 from typing import Callable, Mapping
 
 from .code import LinearCode
-from .enumeration import WeightDistribution, weight_distribution
+from .enumeration import (
+    WeightDistribution,
+    _check_card,
+    _check_ring_and_ranks,
+    weight_distribution,
+)
 from .matrix import DEFAULT_SUBSET_CAP, TypeProfile, _subset_profiles
 from .ring import ChainRing
 
@@ -56,7 +61,13 @@ def binomial(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class IdentityContext:
-    """Code parameters the identities depend on; distances are optional."""
+    """Code parameters the identities depend on; distances are optional.
+
+    Refuses, with ValueError, a ring that does not exist, ranks outside
+    0 <= free_rank <= rank <= n, and a cardinality that no code of the rank
+    and free rank has.  Within these rules the context is trusted: a wrong
+    but possible distance can still mislead the solvers.
+    """
 
     n: int
     p: int
@@ -66,6 +77,10 @@ class IdentityContext:
     free_rank: int
     d: int | None = None
     d_dual: int | None = None
+
+    def __post_init__(self) -> None:
+        _check_ring_and_ranks(self.n, self.p, self.s, self.rank, self.free_rank)
+        _check_card(self.card, self.p, self.s, self.rank, self.free_rank)
 
     @classmethod
     def from_code(

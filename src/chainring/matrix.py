@@ -1,8 +1,9 @@
 """Matrices over a chain ring.
 
 Provides reduction to block standard form via valuation-aware Gaussian
-elimination, row-type profiles, column submatrices, the one scan over column
-subsets that tallies submatrix types, and the row-space cardinality formula.
+elimination, row-type profiles with the size of a module of each type, column
+submatrices, and the one scan over column subsets that tallies submatrix
+types.
 """
 
 from __future__ import annotations
@@ -20,10 +21,6 @@ __all__ = [
     "StandardForm",
     "TypeProfile",
     "count_submatrix_types",
-    "identity_matrix",
-    "matmul",
-    "matrix_type",
-    "rowspace_size",
     "standard_form",
     "submatrix",
 ]
@@ -71,14 +68,6 @@ class RingMatrix:
         cols = tuple(tuple(row[c] for row in self.rows) for c in range(self.ncols))
         return RingMatrix(self.ring, cols, self.nrows)
 
-    def is_zero(self) -> bool:
-        return all(code == 0 for row in self.rows for code in row)
-
-
-def identity_matrix(ring: ChainRing, n: int) -> RingMatrix:
-    rows = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return RingMatrix(ring, rows, n)
-
 
 def _dot(ring: ChainRing, xs: Iterable[int], ys: Iterable[int]) -> int:
     """Dot product of two element-code vectors; zero operands are skipped."""
@@ -87,17 +76,6 @@ def _dot(ring: ChainRing, xs: Iterable[int], ys: Iterable[int]) -> int:
         if x and y:
             acc = ring.add(acc, ring.mul(x, y))
     return acc
-
-
-def matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
-    if a.ring != b.ring:
-        raise ValueError("matrix product across different rings")
-    if a.ncols != b.nrows:
-        raise ValueError(f"dimension mismatch: {a.nrows}x{a.ncols} times {b.nrows}x{b.ncols}")
-    ring = a.ring
-    bt = b.transpose().rows
-    out = tuple(tuple(_dot(ring, arow, bcol) for bcol in bt) for arow in a.rows)
-    return RingMatrix(ring, out, b.ncols)
 
 
 @dataclass(frozen=True)
@@ -228,21 +206,6 @@ def standard_form(matrix: RingMatrix) -> StandardForm:
     return StandardForm(reduced, tuple(perm), TypeProfile(tuple(counts)))
 
 
-def matrix_type(matrix: RingMatrix) -> TypeProfile:
-    """Raw row-valuation profile of the matrix as given (no reduction).
-
-    The valuation of a row is the minimum valuation of its entries; zero rows
-    are skipped.  For the canonical type of the row space, reduce first.
-    """
-    ring = matrix.ring
-    counts = [0] * ring.s
-    for row in matrix.rows:
-        v = min((ring.valuation(code) for code in row), default=ring.s)
-        if v < ring.s:
-            counts[v] += 1
-    return TypeProfile(tuple(counts))
-
-
 def submatrix(matrix: RingMatrix, indices: Sequence[int]) -> RingMatrix:
     """Columns of the matrix restricted to a set of 1-based indices.
 
@@ -282,6 +245,7 @@ def _insert(ring: ChainRing, module: _Module, counts: tuple[int, ...], column, k
     module is None), for leaves of the walk.
     """
     add, mul, neg, valuation, unit_part, inverse = ring.ops
+    powers = ring.gamma_powers
     v = list(column)
     rows = None  # a list of the module's rows once a swap has replaced one
     for t, row in enumerate(module):
@@ -326,7 +290,7 @@ def _insert(ring: ChainRing, module: _Module, counts: tuple[int, ...], column, k
         return None, counts
     scale = inverse(unit_part(v[j]))
     support = tuple((i, mul(scale, x)) for i, x in enumerate(v) if x and i != j)
-    return module + ((j, e, ring.gamma_pow(e), support),), counts
+    return module + ((j, e, powers[e], support),), counts
 
 
 def _swap(ring: ChainRing, row, v: list[int], e1: int, keep: bool):
@@ -340,9 +304,10 @@ def _swap(ring: ChainRing, row, v: list[int], e1: int, keep: bool):
     w span what the row and v span.
     """
     add, mul, neg, _, unit_part, inverse = ring.ops
+    powers = ring.gamma_powers
     j, e, ge, support = row
     scale = inverse(unit_part(v[j]))
-    g = mul(neg(ring.gamma_pow(e - e1)), scale)  # w = row + g * v
+    g = mul(neg(powers[e - e1]), scale)  # w = row + g * v
     w = [mul(g, x) if x else 0 for x in v]
     w[j] = 0  # gamma**e + g * v[j] == gamma**e - gamma**e
     for i, y in support:
@@ -350,7 +315,7 @@ def _swap(ring: ChainRing, row, v: list[int], e1: int, keep: bool):
     if not keep:
         return None, w
     u = tuple((i, mul(scale, x)) for i, x in enumerate(v) if x and i != j)
-    return (j, e1, ring.gamma_pow(e1), u), w
+    return (j, e1, powers[e1], u), w
 
 
 def _reshape(ring: ChainRing, module: _Module, counts: tuple[int, ...], t: int, v, keep: bool):
@@ -439,7 +404,3 @@ def count_submatrix_types(
         raise ValueError(f"nu must lie in 1..{matrix.ncols}, got {nu}")
     return _subset_profiles(matrix, nu, cap)
 
-
-def rowspace_size(matrix: RingMatrix) -> int:
-    """Number of vectors in the row space: p**sum((s-i) * k_i)."""
-    return standard_form(matrix).profile.module_size(matrix.ring.p)

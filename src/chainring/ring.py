@@ -9,12 +9,13 @@ Both have exactly p**s elements and a maximal ideal generated by a single
 element ``gamma`` (p in the integer backend, u in the polynomial one), with
 gamma**s == 0 and gamma**(s-1) != 0.
 
-Elements are stored as canonical integer codes in ``range(p**s)``.  The
-polynomial backend packs its coefficient vector in base p, lowest degree
-first.  Under that packing the two backends share the same valuation,
-splitting and representative-range logic (dividing a code by p strips the
-lowest base-p digit in both rings); only add/neg/mul and unit inversion
-differ.
+Elements are canonical integer codes in ``range(p**s)``, and every operation
+takes and returns codes; ``encode`` and ``decode`` convert from and to an int
+or a coefficient tuple.  The polynomial backend packs its coefficient vector
+in base p, lowest degree first.  Under that packing the two backends share
+the same valuation and splitting logic (dividing a code by p strips the
+lowest base-p digit in both rings), and gamma**j has code p**j below s; only
+add/neg/mul and unit inversion differ.
 
 Scalar add, neg, mul, valuation, unit part and inverse on rings of at most
 ``TABLE_RING_SIZE`` elements read a table, on either backend: one q x q table
@@ -38,9 +39,6 @@ __all__ = [
     "MAX_RING_SIZE",
     "TABLE_RING_SIZE",
     "ChainRing",
-    "RingElement",
-    "gamma_decompose",
-    "unit_inverse",
 ]
 
 BACKENDS = ("int", "poly")
@@ -56,7 +54,7 @@ MAX_RING_SIZE = 1 << 31
 # entries each, about 60 kB apiece.
 TABLE_RING_SIZE = 81
 
-ElementLike = Union["RingElement", int, Sequence[int]]
+ElementLike = Union[int, Sequence[int]]
 
 
 def _is_prime(p: int) -> bool:
@@ -182,42 +180,16 @@ class ChainRing:
         that bind them once; see ``_ops``."""
         return _ops(self.p, self.s, self.backend)
 
-    @property
-    def gamma_code(self) -> int:
-        # p (resp. u) reduces to 0 when s == 1; base-p packing makes the code
-        # of u equal to p as well.
-        return self.p % self.size
-
-    @property
-    def gamma(self) -> RingElement:
-        return RingElement(self, self.gamma_code)
-
-    @property
-    def zero(self) -> RingElement:
-        return RingElement(self, 0)
-
-    @property
-    def one(self) -> RingElement:
-        return RingElement(self, 1)
+    @cached_property
+    def gamma_powers(self) -> tuple[int, ...]:
+        """Codes of gamma**0 .. gamma**(s-1), for loops that index them."""
+        return tuple(self.p**j for j in range(self.s))
 
     def gamma_pow(self, j: int) -> int:
         """Code of gamma**j (zero once j reaches the nilpotency index)."""
         if j < 0:
             raise ValueError("exponent must be nonnegative")
         return self.p**j if j < self.s else 0
-
-    def elements(self) -> range:
-        """All element codes, in canonical order."""
-        return range(self.size)
-
-    def residue_representatives(self, m: int) -> range:
-        """Codes of the canonical representatives of R / gamma^m R.
-
-        In both backends these are exactly the codes below p**m.
-        """
-        if not 0 <= m <= self.s:
-            raise ValueError(f"m must lie in [0, {self.s}], got {m}")
-        return range(self.p**m)
 
     # -- scalar arithmetic on codes ----------------------------------------
 
@@ -236,9 +208,6 @@ class ChainRing:
         if self.backend == "int":
             return (-a) % self.size
         return self._pack([-x for x in self.decode(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         table = self._mul_table
@@ -322,10 +291,6 @@ class ChainRing:
         either a sequence of coefficients (lowest degree first, reduced mod p)
         or an already-packed code in range(p**s).
         """
-        if isinstance(value, RingElement):
-            if value.ring != self:
-                raise ValueError(f"element of {value.ring} used in {self}")
-            return value.code
         if self.backend == "int":
             if isinstance(value, int):
                 return value % self.size
@@ -359,9 +324,6 @@ class ChainRing:
             code = code * p + d % p
         return code
 
-    def element(self, value: ElementLike) -> RingElement:
-        return RingElement(self, self.encode(value))
-
     def __str__(self) -> str:
         if self.backend == "int":
             return f"Z/{self.size}"
@@ -386,91 +348,3 @@ def _ops(p: int, s: int, backend: str) -> tuple:
         unit_part.__getitem__,
         inverse.__getitem__,
     )
-
-
-@dataclass(frozen=True)
-class RingElement:
-    """An element of a ChainRing, held by its canonical code."""
-
-    ring: ChainRing
-    code: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.code < self.ring.size:
-            raise ValueError(f"code {self.code} out of range for {self.ring}")
-
-    @property
-    def value(self):
-        return self.ring.decode(self.code)
-
-    @property
-    def valuation(self) -> int:
-        return self.ring.valuation(self.code)
-
-    def unit_part(self) -> RingElement:
-        return RingElement(self.ring, self.ring.unit_part(self.code))
-
-    def inverse(self) -> RingElement:
-        return RingElement(self.ring, self.ring.inverse(self.code))
-
-    def gamma_decompose(self) -> tuple[int, RingElement | None]:
-        """(valuation v, unit w) with self == gamma**v * w; (s, None) for zero."""
-        if self.code == 0:
-            return self.ring.s, None
-        return self.valuation, self.unit_part()
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, RingElement):
-            if other.ring != self.ring:
-                raise ValueError(f"cannot combine elements of {self.ring} and {other.ring}")
-            return other.code
-        if isinstance(other, int):
-            return self.ring.encode(other) if self.ring.backend == "int" else NotImplemented
-        return NotImplemented
-
-    def __add__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.add(self.code, code))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.sub(self.code, code))
-
-    def __rsub__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.sub(code, self.code))
-
-    def __mul__(self, other):
-        code = self._coerce(other)
-        if code is NotImplemented:
-            return NotImplemented
-        return RingElement(self.ring, self.ring.mul(self.code, code))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RingElement(self.ring, self.ring.neg(self.code))
-
-    def __bool__(self) -> bool:
-        return self.code != 0
-
-    def __repr__(self) -> str:
-        return f"{self.ring}:{self.value}"
-
-
-def gamma_decompose(a: RingElement) -> tuple[int, RingElement | None]:
-    """Factor a as gamma**v times a unit; the zero element maps to (s, None)."""
-    return a.gamma_decompose()
-
-
-def unit_inverse(a: RingElement) -> RingElement:
-    """Inverse of a unit; raises ValueError for non-units."""
-    return a.inverse()

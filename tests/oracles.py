@@ -4,11 +4,12 @@ Everything here avoids the library's reduction and message-space machinery:
 spans are built from full coefficient products with set deduplication,
 kernels, inverses, valuations and unit parts by exhaustive scans.  Scalar
 add, neg and mul are recomputed from the definitions, without the ring's
-tables or digit loops, and the MacWilliams transform by its closed triple
-sum.  Codes of Singleton defect 0 or 1 are re-solved independently of the
-Pascal solver's elimination: by the closed MDS formula, the explicit
-inverse-Pascal form, or determinant ratios (Cramer's rule).  Intended for
-small instances only.
+tables or digit loops, and so is each entry of a matrix product; the
+MacWilliams transform is its closed triple sum.  Two codes have the same
+codewords when the spans of their generator rows are equal sets.  Codes of
+Singleton defect 0 or 1 are re-solved independently of the Pascal solver's
+elimination: by the closed MDS formula, the explicit inverse-Pascal form, or
+determinant ratios (Cramer's rule).  Intended for small instances only.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from typing import Mapping
 from chainring import (
     ChainRing,
     IdentityContext,
+    LinearCode,
+    RingMatrix,
     WeightDistribution,
     mds_distribution,
     solve_distribution,
@@ -62,6 +65,27 @@ def oracle_mul(ring: ChainRing, a: int, b: int) -> int:
         for j, y in enumerate(ys):
             full[i + j] += x * y
     return _packed(ring, full[: ring.s])
+
+
+def identity_matrix(ring: ChainRing, n: int) -> RingMatrix:
+    return RingMatrix(ring, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+
+
+def matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
+    """The product a.b, each entry summed with the oracle's add and mul."""
+    assert a.ring == b.ring and a.ncols == b.nrows
+    ring = a.ring
+    columns = [[row[c] for row in b.rows] for c in range(b.ncols)]
+    rows = []
+    for row in a.rows:
+        out = []
+        for column in columns:
+            acc = 0
+            for x, y in zip(row, column):
+                acc = oracle_add(ring, acc, oracle_mul(ring, x, y))
+            out.append(acc)
+        rows.append(tuple(out))
+    return RingMatrix(ring, tuple(rows), b.ncols)
 
 
 def oracle_macwilliams(dist) -> tuple[Fraction, ...]:
@@ -114,7 +138,7 @@ def span_set(ring: ChainRing, rows, n: int) -> set[tuple[int, ...]]:
     rows = [tuple(row) for row in rows]
     assert ring.size ** len(rows) <= 1 << 20, "oracle span too large"
     span: set[tuple[int, ...]] = set()
-    for coeffs in product(ring.elements(), repeat=len(rows)):
+    for coeffs in product(range(ring.size), repeat=len(rows)):
         vec = [0] * n
         for c, row in zip(coeffs, rows):
             if c == 0:
@@ -124,6 +148,13 @@ def span_set(ring: ChainRing, rows, n: int) -> set[tuple[int, ...]]:
                     vec[i] = ring.add(vec[i], ring.mul(c, x))
         span.add(tuple(vec))
     return span
+
+
+def same_codewords(a: LinearCode, b: LinearCode) -> bool:
+    """Equal codeword sets, compared as the spans of the two generator matrices."""
+    return (a.ring, a.n) == (b.ring, b.n) and span_set(
+        a.ring, a.generator_matrix().rows, a.n
+    ) == span_set(b.ring, b.generator_matrix().rows, b.n)
 
 
 def brute_weight_counts(ring: ChainRing, rows, n: int) -> tuple[int, ...]:
@@ -136,7 +167,7 @@ def brute_kernel(ring: ChainRing, rows, n: int) -> set[tuple[int, ...]]:
     """All v in R^n with (rows) . v^T == 0, by scanning the whole ambient space."""
     assert ring.size**n <= 1 << 20, "oracle kernel too large"
     kernel: set[tuple[int, ...]] = set()
-    for vec in product(ring.elements(), repeat=n):
+    for vec in product(range(ring.size), repeat=n):
         ok = True
         for row in rows:
             acc = 0

@@ -11,11 +11,10 @@ from chainring import (
     classify,
     code_from_generators,
     dual,
-    identity_matrix,
     kernel_code,
-    matmul,
+    standard_form,
 )
-from oracles import brute_kernel, span_set
+from oracles import brute_kernel, identity_matrix, matmul, same_codewords, span_set
 
 Z4 = ChainRing(2, 2)
 Z8 = ChainRing(2, 3)
@@ -106,9 +105,9 @@ class TestConstruction:
             code_from_generators(Z4, 3, [(1, 0)])
 
     def test_generator_rows_are_codewords(self):
-        code = code_from_generators(Z4, 4, [(2, 1, 3, 0), (1, 1, 2, 2)])
-        for row in code.generator_matrix().rows:
-            assert code.contains(row)
+        rows = [(2, 1, 3, 0), (1, 1, 2, 2)]
+        code = code_from_generators(Z4, 4, rows)
+        assert set(code.generator_matrix().rows) <= span_set(Z4, rows, 4)
 
 
 class TestParityCheck:
@@ -121,7 +120,7 @@ class TestParityCheck:
         h = code.parity_check()
         assert h.rows == ((68, 0, 1, 0), (0, 57, 0, 1))
         product = matmul(code.generator_matrix(), h.transpose())
-        assert product.is_zero()
+        assert not any(map(any, product.rows))
 
     def test_full_space_has_empty_parity_check(self):
         code = code_from_generators(Z4, 3, identity_matrix(Z4, 3).rows)
@@ -150,7 +149,7 @@ class TestParityCheck:
     @given(small_code())
     def test_orthogonality_random(self, code):
         product = matmul(code.generator_matrix(), code.parity_check().transpose())
-        assert product.is_zero()
+        assert not any(map(any, product.rows))
 
     @settings(max_examples=25, deadline=None)
     @given(small_code())
@@ -197,7 +196,7 @@ class TestDual:
     @settings(max_examples=30, deadline=None)
     @given(small_code())
     def test_double_dual_same_codewords(self, code):
-        assert dual(dual(code)).same_codewords(code)
+        assert same_codewords(dual(dual(code)), code)
 
 
 class TestKernelCode:
@@ -205,7 +204,7 @@ class TestKernelCode:
         h = RingMatrix.build(Z4, [(2, 0, 2), (0, 2, 0)])
         code = kernel_code(h)
         assert code.cardinality == 16
-        assert code.same_codewords(code_from_generators(Z4, 3, REFERENCE_Z4))
+        assert same_codewords(code, code_from_generators(Z4, 3, REFERENCE_Z4))
 
     def test_identity_gives_zero_code(self):
         assert kernel_code(identity_matrix(Z9, 3)).cardinality == 1
@@ -217,15 +216,14 @@ class TestKernelCode:
     @settings(max_examples=50, deadline=None)
     @given(small_code())
     def test_kernel_of_parity_check_is_the_code(self, code):
-        assert kernel_code(code.parity_check()).same_codewords(code)
+        assert same_codewords(kernel_code(code.parity_check()), code)
 
     @settings(max_examples=40, deadline=None)
     @given(small_code())
     def test_kernel_times_rowspace_covers_ambient(self, code):
         h = code.parity_check()
-        from chainring import rowspace_size
-
-        assert kernel_code(h).cardinality * rowspace_size(h) == code.ring.size**code.n
+        rowspace_size = standard_form(h).profile.module_size(code.ring.p)
+        assert kernel_code(h).cardinality * rowspace_size == code.ring.size**code.n
 
 
 class TestClassify:
@@ -276,8 +274,7 @@ class TestPermutationHandling:
         # generators that force a column swap during reduction
         rows = [(0, 2, 1), (0, 2, 0)]
         code = code_from_generators(Z4, 3, rows)
-        for row in rows:
-            assert code.contains(row)
+        assert set(rows) <= span_set(Z4, code.generator_matrix().rows, 3)
         h = code.parity_check()
         for row in rows:
             acc = [0] * h.nrows

@@ -1,4 +1,4 @@
-"""Exhaustive enumeration: distributions, codeword streams, minimum distance."""
+"""Exhaustive enumeration: distributions, word tables, minimum distance."""
 
 from __future__ import annotations
 
@@ -15,9 +15,7 @@ from chainring import (
     ChainRing,
     WeightDistribution,
     code_from_generators,
-    enumerate_codewords,
     enumeration_cap,
-    identity_matrix,
     min_distance,
     render_enumerator,
     weight_distribution,
@@ -30,7 +28,8 @@ from chainring.enumeration import (
     _MessageSpace,
     _histogram,
 )
-from oracles import brute_weight_counts
+from chainring.code import _inverse_positions
+from oracles import brute_weight_counts, identity_matrix, span_set
 
 Z4 = ChainRing(2, 2)
 Z8 = ChainRing(2, 3)
@@ -51,6 +50,19 @@ def small_code(draw):
         [draw(st.integers(0, ring.size - 1)) for _ in range(n)] for _ in range(nrows)
     ]
     return code_from_generators(ring, n, rows)
+
+
+def word_tables(space: _MessageSpace):
+    """Every word of the message space in message order, from the table builder."""
+    return space.tables([(h, space.p) for h in space.digits.astype(space.wide)])
+
+
+def codewords(code):
+    """Every word of ``word_tables``, as element-code tuples in original coordinates."""
+    take = _inverse_positions(code.std.column_permutation)
+    for table in word_tables(_MessageSpace(code)):
+        for row in table[:, take].tolist():
+            yield tuple(row)
 
 
 class TestWeightDistribution:
@@ -90,7 +102,7 @@ class TestWeightDistribution:
         ring = code.ring
         baseline = weight_distribution(code).counts
         rows = [list(r) for r in code.generator_matrix().rows]
-        units = [c for c in ring.elements() if ring.valuation(c) == 0]
+        units = [c for c in range(ring.size) if ring.valuation(c) == 0]
         scaled = [
             [ring.mul(u, x) for x in row]
             for row, u in ((r, rng.choice(units)) for r in rows)
@@ -125,45 +137,40 @@ class TestWeightDistribution:
 class TestEnumerateCodewords:
     def test_reference_z4_code_distinct(self):
         code = code_from_generators(Z4, 3, REFERENCE_Z4)
-        words = list(enumerate_codewords(code))
+        words = list(codewords(code))
         assert len(words) == 16
         assert len(set(words)) == 16
         assert set(words) == brute_kernel_free_span()
 
     def test_zero_code_yields_zero_vector(self):
         code = code_from_generators(Z4, 3, [])
-        assert list(enumerate_codewords(code)) == [(0, 0, 0)]
+        assert list(codewords(code)) == [(0, 0, 0)]
 
     def test_count_matches_cardinality_over_z125(self):
         code = code_from_generators(Z125, 4, [(1, 0, 57, 0), (0, 1, 0, 68)])
         seen = set()
-        for word in enumerate_codewords(code):
+        for word in codewords(code):
             seen.add(word)
         assert len(seen) == 15625
 
     @settings(max_examples=30, deadline=None)
     @given(small_code())
     def test_yield_count_and_membership(self, code):
-        words = list(enumerate_codewords(code))
+        words = list(codewords(code))
         assert len(words) == code.cardinality
         assert len(set(words)) == code.cardinality
         sample = words[:: max(1, len(words) // 8)]
-        for word in sample:
-            assert code.contains(word)
+        assert set(sample) <= span_set(code.ring, code.generator_matrix().rows, code.n)
 
     def test_original_coordinates_after_permutation(self):
-        # reduction moves column 2 first; the stream must restore user order
+        # reduction moves column 2 first; mapped back, the words are in user order
         rows = [(0, 2, 1), (0, 2, 0)]
         code = code_from_generators(Z4, 3, rows)
-        words = set(enumerate_codewords(code))
-        from oracles import span_set
-
+        words = set(codewords(code))
         assert words == span_set(Z4, rows, 3)
 
 
 def brute_kernel_free_span():
-    from oracles import span_set
-
     return span_set(Z4, REFERENCE_Z4, 3)
 
 
@@ -233,7 +240,7 @@ class TestLargeScale:
     def test_stream_count_past_block_width(self):
         code = code_from_generators(Z4, 9, identity_matrix(Z4, 9).rows)
         assert code.cardinality == 1 << 18
-        count = sum(1 for _ in enumerate_codewords(code))
+        count = sum(1 for _ in codewords(code))
         assert count == 1 << 18
 
 
@@ -290,7 +297,7 @@ class TestKernel:
     def test_word_tables_count_plane_cells(self, code):
         space = _MessageSpace(code)
         assert space.width == code.n * (code.ring.s if code.ring.backend == "poly" else 1)
-        sizes = [len(table) for table in space.words()]
+        sizes = [len(table) for table in word_tables(space)]
         assert sum(sizes) == code.cardinality
         assert max(sizes) * space.width <= _BLOCK_CELLS
 
@@ -374,7 +381,7 @@ class TestKernel:
             expected.append(tuple(original))
         assert len(set(expected)) == code.cardinality > 1
         assert list(perm) != sorted(perm)
-        assert list(enumerate_codewords(code)) == expected
+        assert list(codewords(code)) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(

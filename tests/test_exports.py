@@ -7,7 +7,32 @@ import pkgutil
 
 import chainring
 
-REMOVED = ("small_defect_distribution", "closed_form_crosscheck", "ClosedFormCrossCheck")
+REMOVED = (
+    "small_defect_distribution",
+    "closed_form_crosscheck",
+    "ClosedFormCrossCheck",
+    "RingElement",
+    "gamma_decompose",
+    "unit_inverse",
+    "matmul",
+    "matrix_type",
+    "rowspace_size",
+    "identity_matrix",
+    "enumerate_codewords",
+    "cardinality",
+    "parity_check",
+)
+
+# Methods removed with the exports above: the element wrapper's helpers on
+# ChainRing, and members that no caller in the package used.
+REMOVED_MEMBERS = {
+    chainring.ChainRing: (
+        "gamma", "zero", "one", "element", "sub", "gamma_code", "elements",
+        "residue_representatives",
+    ),
+    chainring.RingMatrix: ("is_zero",),
+    chainring.LinearCode: ("same_codewords", "contains"),
+}
 
 
 def test_export_lists_resolve_without_duplicates():
@@ -25,3 +50,8 @@ def test_export_lists_resolve_without_duplicates():
         assert not missing, (module.__name__, missing)
         assert not set(REMOVED) & set(names), module.__name__
         assert not any(hasattr(module, name) for name in REMOVED), module.__name__
+
+
+def test_removed_members_stay_removed():
+    for cls, names in REMOVED_MEMBERS.items():
+        assert not [name for name in names if hasattr(cls, name)], cls.__name__

@@ -19,7 +19,6 @@ from chainring import (
     count_submatrix_types,
     double_count_check,
     dual,
-    identity_matrix,
     kernel_code,
     macwilliams_transform,
     mds_distribution,
@@ -34,6 +33,7 @@ from chainring.identities import binomial
 from oracles import (
     brute_weight_counts,
     closed_form_crosscheck,
+    identity_matrix,
     oracle_macwilliams,
     small_defect_distribution,
 )
@@ -585,7 +585,56 @@ class TestEveryCountKnown:
 
 
 class TestImpossibleInputsRefused:
-    """A dual distance no code has, and a ring that does not exist."""
+    """A dual distance no code has, a ring that does not exist, and contexts
+    that describe no code."""
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            pytest.param(
+                dict(n=2, p=4, s=1, card=4, rank=1, free_rank=1),
+                "p must be a prime integer, got 4",
+                id="p-not-prime",
+            ),
+            pytest.param(
+                dict(n=2, p=2, s=0, card=1, rank=0, free_rank=0),
+                "s must be an integer >= 1, got 0",
+                id="s-zero",
+            ),
+            pytest.param(
+                dict(n=2, p=2, s=1, card=8, rank=3, free_rank=3),
+                "need 0 <= free_rank <= rank <= n, got 3, 3 and 2",
+                id="rank-above-length",
+            ),
+            pytest.param(
+                dict(n=3, p=2, s=2, card=16, rank=1, free_rank=2),
+                "need 0 <= free_rank <= rank <= n, got 2, 1 and 3",
+                id="free-rank-above-rank",
+            ),
+            pytest.param(
+                dict(n=3, p=2, s=2, card=1, rank=0, free_rank=-1),
+                "need 0 <= free_rank <= rank <= n, got -1, 0 and 3",
+                id="negative-free-rank",
+            ),
+            pytest.param(
+                # The solver used to fail on it with "right-hand side at nu=3
+                # is 3996/390625".
+                dict(n=6, p=5, s=3, card=999, rank=3, free_rank=3),
+                r"card 999 is not 5\*\*m with 9 <= m <= 9, the sizes of codes of rank 3 "
+                r"and free rank 3 over a ring of 5\*\*3 elements",
+                id="card-not-a-power-of-p",
+            ),
+            pytest.param(
+                dict(n=3, p=2, s=2, card=32, rank=3, free_rank=1),
+                r"card 32 is not 2\*\*m with 4 <= m <= 4, the sizes of codes of rank 3 "
+                r"and free rank 1 over a ring of 2\*\*2 elements",
+                id="card-of-another-type",
+            ),
+        ],
+    )
+    def test_context_no_code_has(self, params, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            IdentityContext(**params)
 
     @pytest.mark.parametrize("solve", [solve_distribution, solve_distribution_pless])
     @pytest.mark.parametrize("d_dual", [0, -1, 6])
