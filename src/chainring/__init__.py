@@ -24,7 +24,6 @@ from .errors import CapExceededError, InvariantError
 from .identities import (
     DoubleCountCheck,
     IdentityContext,
-    PascalSystem,
     RelationCheck,
     check_new_relation,
     double_count_check,
@@ -41,7 +40,6 @@ from .matrix import (
     TypeProfile,
     count_submatrix_types,
     standard_form,
-    submatrix,
 )
 from .ring import ChainRing
 
@@ -55,7 +53,6 @@ __all__ = [
     "IdentityContext",
     "InvariantError",
     "LinearCode",
-    "PascalSystem",
     "RelationCheck",
     "RingMatrix",
     "StandardForm",
@@ -78,6 +75,5 @@ __all__ = [
     "solve_distribution",
     "solve_distribution_pless",
     "standard_form",
-    "submatrix",
     "weight_distribution",
 ]

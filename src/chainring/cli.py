@@ -41,6 +41,7 @@ from .codefile import (
 from .enumeration import (
     WeightDistribution,
     _check_card,
+    _check_ring_and_ranks,
     render_enumerator,
     weight_distribution,
 )
@@ -221,12 +222,7 @@ def _cmd_wdist(args) -> tuple[Any, int]:
 
 
 def _cmd_mac(args) -> tuple[Any, int]:
-    ChainRing(args.p, args.s)  # the rules of a document's ring
-    if not 0 <= args.free_rank <= args.rank <= args.n:
-        raise CodeFileError(
-            "need 0 <= --free-rank <= --rank <= --n, got "
-            f"{args.free_rank}, {args.rank} and {args.n}"
-        )
+    _check_ring_and_ranks(args.n, args.p, args.s, args.rank, args.free_rank)
     try:
         raw = json.loads(_read_input(args.file))
     except json.JSONDecodeError as exc:

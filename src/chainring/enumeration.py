@@ -114,6 +114,7 @@ def _check_card(card: int, p: int, s: int, rank: int, free_rank: int) -> None:
     Such a code is a sum of ``free_rank`` copies of R (p**s words each) and
     ``rank - free_rank`` proper ideals (p to p**(s-1) words each).
     """
+    ChainRing(p, s)  # the rules of a ring: below p = 2 the loop never ends
     low = s * free_rank + (rank - free_rank)
     high = s * free_rank + (s - 1) * (rank - free_rank)
     m, rest = 0, card
@@ -124,6 +125,23 @@ def _check_card(card: int, p: int, s: int, rank: int, free_rank: int) -> None:
         raise ValueError(
             f"card {card} is not {p}**m with {low} <= m <= {high}, the sizes of codes "
             f"of rank {rank} and free rank {free_rank} over a ring of {p}**{s} elements"
+        )
+
+
+def _check_distances(n: int, d: int | None, d_dual: int | None) -> None:
+    """Refuse distances that no length-n code and its dual have.
+
+    A nonzero code has 1 <= d <= n; the dual may be zero, of distance n + 1
+    by convention.  The Singleton bound on both sides, with |C| |C_dual| =
+    q**n, gives d + d_dual <= n + 2.
+    """
+    if d is not None and not 1 <= d <= n:
+        raise ValueError(f"distance {d} out of range 1..{n}")
+    if d_dual is not None and not 1 <= d_dual <= n + 1:
+        raise ValueError(f"dual distance {d_dual} out of range 1..{n + 1}")
+    if d is not None and d_dual is not None and d + d_dual > n + 2:
+        raise ValueError(
+            f"distances {d} and {d_dual} break the Singleton bound d + d_dual <= {n + 2}"
         )
 
 

@@ -29,16 +29,15 @@ from .code import LinearCode
 from .enumeration import (
     WeightDistribution,
     _check_card,
+    _check_distances,
     _check_ring_and_ranks,
     weight_distribution,
 )
 from .matrix import DEFAULT_SUBSET_CAP, TypeProfile, _subset_profiles
-from .ring import ChainRing
 
 __all__ = [
     "DoubleCountCheck",
     "IdentityContext",
-    "PascalSystem",
     "RelationCheck",
     "binomial",
     "check_new_relation",
@@ -64,9 +63,10 @@ class IdentityContext:
     """Code parameters the identities depend on; distances are optional.
 
     Refuses, with ValueError, a ring that does not exist, ranks outside
-    0 <= free_rank <= rank <= n, and a cardinality that no code of the rank
-    and free rank has.  Within these rules the context is trusted: a wrong
-    but possible distance can still mislead the solvers.
+    0 <= free_rank <= rank <= n, a cardinality that no code of the rank and
+    free rank has, and distances outside 1 <= d <= n, 1 <= d_dual <= n + 1
+    and d + d_dual <= n + 2.  Within these rules the context is trusted: a
+    wrong but possible distance can still mislead the solvers.
     """
 
     n: int
@@ -81,6 +81,7 @@ class IdentityContext:
     def __post_init__(self) -> None:
         _check_ring_and_ranks(self.n, self.p, self.s, self.rank, self.free_rank)
         _check_card(self.card, self.p, self.s, self.rank, self.free_rank)
+        _check_distances(self.n, self.d, self.d_dual)
 
     @classmethod
     def from_code(
@@ -105,15 +106,16 @@ class IdentityContext:
         counts = tuple(counts)
         if len(counts) != s or any(k < 0 for k in counts):
             raise ValueError(f"type profile must be {s} nonnegative counts, got {counts!r}")
-        if sum(counts) > n:
-            raise ValueError(f"rank {sum(counts)} exceeds length {n}")
+        profile = TypeProfile(counts)
+        # Before p**m is computed, which an impossible rank could make huge.
+        _check_ring_and_ranks(n, p, s, profile.rank, profile.free_rank)
         return cls(
             n=n,
             p=p,
             s=s,
-            card=TypeProfile(counts).module_size(p),
-            rank=sum(counts),
-            free_rank=counts[0],
+            card=profile.module_size(p),
+            rank=profile.rank,
+            free_rank=profile.free_rank,
             d=d,
             d_dual=d_dual,
         )
@@ -333,41 +335,6 @@ def power_moment(
 # -- solvers --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PascalSystem:
-    """The linear system tying A_0..A_n together above the dual threshold.
-
-    One equation per nu in {n - d_dual + 1, ..., n}; the coefficient of A_l is
-    C(n-l, nu-l), so the matrix is a truncated Pascal matrix whose maximal
-    minors are all nonzero.  Right-hand sides are integral for any context
-    that belongs to an actual code.
-    """
-
-    n: int
-    nus: tuple[int, ...]
-    rhs: tuple[int, ...]
-
-    @classmethod
-    def build(cls, ctx: IdentityContext) -> PascalSystem:
-        if ctx.d_dual is None:
-            raise ValueError("building the system needs the dual minimum distance")
-        # A d_dual past n + 1 (no code has one) adds no equation.
-        nus = tuple(range(max(ctx.n - ctx.d_dual + 1, 0), ctx.n + 1))
-        rhs = []
-        for nu in nus:
-            value = _subset_count_row(ctx, nu)[1]
-            if value.denominator != 1 or value < 0:
-                raise ValueError(
-                    f"right-hand side at nu={nu} is {value}, not a nonnegative "
-                    "integer; the context is inconsistent"
-                )
-            rhs.append(int(value))
-        return cls(n=ctx.n, nus=nus, rhs=tuple(rhs))
-
-    def coefficient(self, nu: int, l: int) -> int:
-        return _pascal_row(self.n, nu)[l]
-
-
 def _solve_exact(rows: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
     """Solve an (m x u) system with m >= u by exact Gaussian elimination.
 
@@ -406,8 +373,6 @@ def _fill_known(ctx: IdentityContext, known: Mapping[int, int]) -> dict[int, int
             raise ValueError(f"known count at index {idx} is negative")
         filled[idx] = value
     if ctx.d is not None:
-        if not 1 <= ctx.d <= ctx.n:
-            raise ValueError(f"distance {ctx.d} out of range 1..{ctx.n}")
         for idx in range(ctx.d):
             implied = 1 if idx == 0 else 0
             if idx in filled and filled[idx] != implied:
@@ -421,15 +386,24 @@ def _fill_known(ctx: IdentityContext, known: Mapping[int, int]) -> dict[int, int
 def _complete(
     ctx: IdentityContext,
     known: Mapping[int, int],
-    stack: Callable[[], list[tuple[list[int], Fraction]]],
+    row: Callable[[IdentityContext, int], tuple[list[int], Fraction]],
+    nus: Callable[[], range],
 ) -> WeightDistribution:
-    """Both solvers' one path: fill the knowns, stack the rows, solve the rest."""
+    """Both solvers' one path: fill the knowns, stack the rows at ``nus()``,
+    solve the rest.  Each right side is a sum of counts for any code, so it
+    must be a nonnegative integer."""
     if ctx.d_dual is None:
         raise ValueError("solving needs the dual minimum distance in the context")
-    if not 1 <= ctx.d_dual <= ctx.n + 1:
-        raise ValueError(f"dual distance {ctx.d_dual} out of range 1..{ctx.n + 1}")
     known = _fill_known(ctx, known)
-    equations = stack()
+    equations = []
+    for nu in nus():
+        coeffs, value = row(ctx, nu)
+        if value.denominator != 1 or value < 0:
+            raise ValueError(
+                f"right-hand side at nu={nu} is {value}, not a nonnegative "
+                "integer; the context is inconsistent"
+            )
+        equations.append((coeffs, value))
     unknowns = [l for l in range(ctx.n + 1) if l not in known]
     if len(unknowns) > ctx.d_dual:
         raise ValueError(
@@ -462,12 +436,13 @@ def solve_distribution(
 ) -> WeightDistribution:
     """Complete a distribution from the truncated Pascal system.
 
-    A known distance auto-fills A_0..A_{d-1}; the remaining unknowns must not
-    outnumber the d_dual equations.  Non-integral or negative solutions mean
-    the inputs belong to no code and raise ValueError.
+    One equation per nu in n - d_dual + 1..n, of coefficients C(n-l, nu-l):
+    every maximal minor is nonzero.  A known distance auto-fills
+    A_0..A_{d-1}; the remaining unknowns must not outnumber the d_dual
+    equations.  Inputs that belong to no code raise ValueError.
     """
     return _complete(
-        ctx, known, lambda: [_subset_count_row(ctx, nu) for nu in PascalSystem.build(ctx).nus]
+        ctx, known, _subset_count_row, lambda: range(ctx.n - ctx.d_dual + 1, ctx.n + 1)
     )
 
 
@@ -479,9 +454,7 @@ def solve_distribution_pless(
     Equivalent to the Pascal route whenever both are determined, which gives
     an independent consistency check on solved distributions.
     """
-    return _complete(
-        ctx, known, lambda: [_moment_row(ctx, nu) for nu in range(min(ctx.d_dual, ctx.n + 1))]
-    )
+    return _complete(ctx, known, _moment_row, lambda: range(ctx.d_dual))
 
 
 # -- closed form -------------------------------------------------------------------
@@ -493,9 +466,9 @@ def mds_distribution(n: int, rank: int, p: int, s: int) -> WeightDistribution:
     With q = p**s and d = n - rank + 1:
         A_w = C(n, w) * sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1).
     """
-    ChainRing(p, s)  # the rules of a ring
-    if not 1 <= rank <= n:
-        raise ValueError(f"rank must lie in 1..{n}, got {rank}")
+    _check_ring_and_ranks(n, p, s, rank, rank)
+    if not rank:
+        raise ValueError("rank 0 is the zero code, which has no minimum distance")
     q = p**s
     d = n - rank + 1
     counts = [0] * (n + 1)

@@ -1,9 +1,8 @@
 """Matrices over a chain ring.
 
 Provides reduction to block standard form via valuation-aware Gaussian
-elimination, row-type profiles with the size of a module of each type, column
-submatrices, and the one scan over column subsets that tallies submatrix
-types.
+elimination, row-type profiles with the size of a module of each type, and
+the one scan over column subsets that tallies submatrix types.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ __all__ = [
     "TypeProfile",
     "count_submatrix_types",
     "standard_form",
-    "submatrix",
 ]
 
 DEFAULT_SUBSET_CAP = 10**6
@@ -63,10 +61,6 @@ class RingMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def transpose(self) -> RingMatrix:
-        cols = tuple(tuple(row[c] for row in self.rows) for c in range(self.ncols))
-        return RingMatrix(self.ring, cols, self.nrows)
 
 
 def _dot(ring: ChainRing, xs: Iterable[int], ys: Iterable[int]) -> int:
@@ -204,23 +198,6 @@ def standard_form(matrix: RingMatrix) -> StandardForm:
     rank = sum(counts)
     reduced = RingMatrix(matrix.ring, tuple(tuple(row) for row in work[:rank]), matrix.ncols)
     return StandardForm(reduced, tuple(perm), TypeProfile(tuple(counts)))
-
-
-def submatrix(matrix: RingMatrix, indices: Sequence[int]) -> RingMatrix:
-    """Columns of the matrix restricted to a set of 1-based indices.
-
-    Indices must be strictly increasing and within 1..ncols.
-    """
-    prev = 0
-    for i in indices:
-        if not 1 <= i <= matrix.ncols:
-            raise ValueError(f"column index {i} out of range 1..{matrix.ncols}")
-        if i <= prev:
-            raise ValueError("column indices must be strictly increasing")
-        prev = i
-    picked = [i - 1 for i in indices]
-    rows = tuple(tuple(row[c] for c in picked) for row in matrix.rows)
-    return RingMatrix(matrix.ring, rows, len(picked))
 
 
 # A reduced column module: rows (j, e, gamma**e, support) in insertion order.

@@ -30,7 +30,7 @@ from chainring import (
     mds_distribution,
     solve_distribution,
 )
-from chainring.identities import PascalSystem, _fill_known, binomial
+from chainring.identities import _fill_known, binomial
 
 
 def _coefficients(ring: ChainRing, code: int) -> list[int]:
@@ -69,6 +69,17 @@ def oracle_mul(ring: ChainRing, a: int, b: int) -> int:
 
 def identity_matrix(ring: ChainRing, n: int) -> RingMatrix:
     return RingMatrix(ring, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), n)
+
+
+def submatrix(matrix: RingMatrix, indices) -> RingMatrix:
+    """The columns at the given 1-based indices, in the order given."""
+    rows = tuple(tuple(row[i - 1] for i in indices) for row in matrix.rows)
+    return RingMatrix(matrix.ring, rows, len(indices))
+
+
+def transpose(matrix: RingMatrix) -> RingMatrix:
+    cols = tuple(tuple(row[c] for row in matrix.rows) for c in range(matrix.ncols))
+    return RingMatrix(matrix.ring, cols, matrix.nrows)
 
 
 def matmul(a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -270,23 +281,31 @@ def _determinant(rows: list[list[Fraction]]) -> Fraction:
 def _cramer_solve(ctx: IdentityContext, known: dict[int, int]) -> tuple[int, ...] | None:
     """Re-solve the Pascal system through determinant ratios.
 
-    Independent of the Gaussian-elimination path; used to cross-check codes
-    whose closed form has no reliable explicit shape.
+    Independent of the Gaussian-elimination path, and of the solver's rows:
+    each equation sum_l C(n-l, nu-l) A_l = C(n, nu) |C| / p^(s(n-nu)) is
+    written out here.  Used to cross-check codes whose closed form has no
+    reliable explicit shape.
     """
-    if ctx.d_dual is None:
+    n, d_dual = ctx.n, ctx.d_dual
+    if d_dual is None:
         return None
-    system = PascalSystem.build(ctx)
-    unknowns = [l for l in range(ctx.n + 1) if l not in known]
+    unknowns = [l for l in range(n + 1) if l not in known]
     u = len(unknowns)
-    if u == 0 or u > ctx.d_dual:
+    if u == 0 or u > d_dual:
         return None
-    # The last u equations form a truncated Pascal matrix with u rows, so
-    # every u x u column minor is invertible.
-    tail = list(zip(system.nus, system.rhs))[-u:]
-    base = [[Fraction(binomial(ctx.n - l, nu - l)) for l in unknowns] for nu, _ in tail]
+
+    def coefficient(nu: int, l: int) -> int:
+        return comb(n - l, nu - l) if l <= nu else 0
+
+    # The last u equations, nu = n-u+1..n, lie above n - d_dual and form a
+    # truncated Pascal matrix with u rows, so every u x u column minor is
+    # invertible.
+    nus = range(n - u + 1, n + 1)
+    base = [[Fraction(coefficient(nu, l)) for l in unknowns] for nu in nus]
     rhs = [
-        Fraction(b) - sum(binomial(ctx.n - l, nu - l) * known[l] for l in known)
-        for nu, b in tail
+        Fraction(comb(n, nu) * ctx.card, ctx.p ** (ctx.s * (n - nu)))
+        - sum(coefficient(nu, l) * known[l] for l in known)
+        for nu in nus
     ]
     det = _determinant(base)
     if det == 0:

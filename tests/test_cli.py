@@ -9,6 +9,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +17,11 @@ from hypothesis import given, settings, strategies as st
 import chainring.cli
 import chainring.code
 from chainring import ChainRing, code_from_generators, dual, weight_distribution
-from chainring.cli import main
-from chainring.enumeration import ENUMERATION_CAP_ENV
+from chainring.cli import main, random_generator_rows
+from chainring.codefile import CodeDocument
+from chainring.enumeration import DEFAULT_ENUMERATION_CAP, ENUMERATION_CAP_ENV
 from chainring.errors import InvariantError
+from seedcorpus import EXTENDED_FAMILIES, PRIMARY_FAMILIES
 
 C1_DOC = {
     "ring": {"p": 5, "s": 3, "backend": "int"},
@@ -77,6 +80,18 @@ def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
     return status, captured.out, captured.err
+
+
+def run_stdin(text, *argv):
+    """``main(argv)`` in process with ``text`` on stdin: (status, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main(list(argv))
+    finally:
+        sys.stdin = saved
+    return status, out.getvalue(), err.getvalue()
 
 
 def run_length_zero_twins(capsys, tmp_path, *argv):
@@ -304,6 +319,7 @@ class TestMac:
         [
             pytest.param(4, 1, 1, 1, id="p-not-prime"),
             pytest.param(1, 1, 1, 1, id="p-below-2"),
+            pytest.param(0, 1, 1, 1, id="p-zero"),
             pytest.param(2, 0, 1, 1, id="s-below-1"),
             pytest.param(2, 40, 1, 1, id="ring-over-size-bound"),
             pytest.param(2, 1, 1, -1, id="free-rank-negative"),
@@ -982,18 +998,12 @@ class TestMalformedDocuments:
         # reduced modulo q (see ChainRing.encode).
         text = json.dumps(doc)
         for argv in FUZZ_COMMANDS:
-            out, err = io.StringIO(), io.StringIO()
-            saved, sys.stdin = sys.stdin, io.StringIO(text)
-            try:
-                with redirect_stdout(out), redirect_stderr(err):
-                    status = main(argv)
-            finally:
-                sys.stdin = saved
+            status, out, err = run_stdin(text, *argv)
             assert status == 2, (argv, text)
-            assert out.getvalue() == ""
-            lines = err.getvalue().splitlines()
+            assert out == ""
+            lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
-            assert "Traceback" not in err.getvalue()
+            assert "Traceback" not in err
 
 
 # -- every count known, unread inputs, closed stdout --------------------------
@@ -1151,3 +1161,124 @@ class TestCommaLists:
         )
         assert (status, out) == (2, "")
         assert err.splitlines() == ["error: counts must be integers or decimal strings, got ''"]
+
+
+# -- the exit-code contract over every subcommand ------------------------------
+
+
+@st.composite
+def corpus_document(draw):
+    """A document of a seed-corpus family: its ring, one of its shapes and any
+    seed, with from no rows (the zero code) up to one row more than the shape."""
+    p, s, backend, _, shapes = draw(st.sampled_from(PRIMARY_FAMILIES + EXTENDED_FAMILIES))
+    n, nrows = draw(st.sampled_from(shapes))
+    ring = ChainRing(p, s, backend)
+    nrows = draw(st.integers(0, nrows + 1))
+    rows = random_generator_rows(ring, n, nrows, draw(st.integers(0, 10**6)))
+    return CodeDocument(ring=ring, n=n, generators=rows)
+
+
+def _count_list(draw, counts) -> list[int]:
+    """The code's counts, the same with one word moved to another weight (a
+    required identity can fail), or any short list."""
+    counts = list(counts)
+    i, j = draw(st.integers(0, len(counts) - 1)), draw(st.integers(0, len(counts) - 1))
+    moved = counts[:]
+    if moved[i]:
+        moved[i] -= 1
+        moved[j] += 1
+    other = draw(st.lists(st.integers(0, 40), max_size=len(counts) + 1))
+    return draw(st.sampled_from([counts, moved, moved, other]))
+
+
+@st.composite
+def contract_call(draw):
+    """(stdin text, argv) for one subcommand, typed as the parser wants.
+
+    Each call gets at most one drawn fault, so that most calls reach the
+    library: a flag value out of range, a flag the subcommand does not read,
+    or a hint or count list that no code has.
+    """
+    doc = draw(corpus_document())
+    code, n, text = doc.to_code(), doc.n, json.dumps(doc.to_obj())
+    counts = weight_distribution(code, cap=DEFAULT_ENUMERATION_CAP).counts
+    d = next((w for w in range(1, n + 1) if counts[w]), None)
+    fault = draw(st.booleans()) and draw(st.booleans())
+    command = draw(st.sampled_from(sorted(chainring.cli._HANDLERS)))
+    argv = [command, "-"]
+    if command == "wdist":
+        method = draw(st.sampled_from(["enumerate", "solve", "solve", "mds"]))
+        argv += ["--method", method]
+        if method == "solve" or fault:
+            heavy = [w for w in range(n + 1) if counts[w]][-2:]
+            known = {w: counts[w] for w in heavy if draw(st.booleans())}
+            if fault:
+                known[draw(st.integers(0, n + 1))] = draw(st.integers(0, 10**5))
+            if known:
+                argv += ["--known", ",".join(f"{i}={v}" for i, v in known.items())]
+            hint = draw(st.integers(-1, n + 2)) if fault or d is None else d
+            argv += draw(st.sampled_from([[], ["--d", str(hint)]]))
+        argv += draw(st.sampled_from([[], ["--poly"]]))
+    elif command == "check":
+        identity = draw(st.sampled_from(["new", "pless", "power", "doublecount", "subtypes"]))
+        argv += ["--identity", identity]
+        nus = [["--all-nu"], ["--nu", str(draw(st.integers(0, n)))]]
+        if fault:
+            nus = [[], ["--nu", "-1"], ["--nu", str(n + 1)], ["--nu", "0", "--all-nu"]]
+        argv += draw(st.sampled_from(nus))
+        if identity in ("doublecount", "subtypes") or fault:
+            argv += draw(st.sampled_from([[], ["--subset-cap", str(draw(st.integers(-1, 300)))]]))
+        if identity != "subtypes" or fault:
+            if draw(st.booleans()):
+                argv += ["--distribution", ",".join(map(str, _count_list(draw, counts)))]
+    elif command in ("mac", "random"):
+        # flag: (good values, bad values)
+        if command == "mac":
+            text = json.dumps(_count_list(draw, counts))
+            p, card, rank = doc.ring.p, code.cardinality, code.rank
+            values = {
+                "--p": ([p], [0, 1, 4]),
+                "--s": ([doc.ring.s], [0, 40]),
+                "--n": ([n], [n - 1, -1]),
+                "--card": ([card], [0, card * p]),
+                "--rank": ([rank], [-1, n + 1]),
+                "--free-rank": ([code.free_rank], [-1, rank + 1]),
+            }
+        else:
+            argv = [command, "--seed", str(draw(st.integers(0, 10**6)))]
+            argv += ["--backend", draw(st.sampled_from(["int", "poly"]))]
+            values = {
+                "--p": ([2, 3, 5], [0, 1, 4]),
+                "--s": ([1, 2, 3], [0, 40]),
+                "--n": ([0, 3, 5], [-1]),
+                "--rows": ([0, 1, 3], [-1]),
+            }
+        faulty = draw(st.sampled_from(sorted(values))) if fault else None
+        for flag, (good, bad) in values.items():
+            argv += [flag, str(draw(st.sampled_from(bad if flag == faulty else good)))]
+    return text, argv
+
+
+class TestExitCodeContract:
+    """Every subcommand, on seed-corpus documents with valid and invalid flag
+    values, under the default enumeration cap and a small one.  Only argv that
+    the parser accepts is drawn: argparse's own usage errors are not ours."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(contract_call(), st.sampled_from([None, "50"]))
+    def test_exit_code_and_streams(self, call, cap):
+        text, argv = call
+        with mock.patch.dict(os.environ):
+            os.environ.pop(ENUMERATION_CAP_ENV, None)
+            if cap is not None:
+                os.environ[ENUMERATION_CAP_ENV] = cap
+            status, out, err = run_stdin(text, *argv)
+        assert status in (0, 1, 2, 3), (argv, text, err)
+        assert "Traceback" not in err
+        if status in (0, 1):
+            assert err == "", (argv, text)
+            json.loads(out)
+        else:
+            assert out == "", (argv, text)
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, text, lines)

@@ -14,7 +14,7 @@ from chainring import (
     kernel_code,
     standard_form,
 )
-from oracles import brute_kernel, identity_matrix, matmul, same_codewords, span_set
+from oracles import brute_kernel, identity_matrix, matmul, same_codewords, span_set, transpose
 
 Z4 = ChainRing(2, 2)
 Z8 = ChainRing(2, 3)
@@ -119,7 +119,7 @@ class TestParityCheck:
         code = code_from_generators(Z125, 4, [(1, 0, 57, 0), (0, 1, 0, 68)])
         h = code.parity_check()
         assert h.rows == ((68, 0, 1, 0), (0, 57, 0, 1))
-        product = matmul(code.generator_matrix(), h.transpose())
+        product = matmul(code.generator_matrix(), transpose(h))
         assert not any(map(any, product.rows))
 
     def test_full_space_has_empty_parity_check(self):
@@ -148,7 +148,7 @@ class TestParityCheck:
     @settings(max_examples=50, deadline=None)
     @given(small_code())
     def test_orthogonality_random(self, code):
-        product = matmul(code.generator_matrix(), code.parity_check().transpose())
+        product = matmul(code.generator_matrix(), transpose(code.parity_check()))
         assert not any(map(any, product.rows))
 
     @settings(max_examples=25, deadline=None)

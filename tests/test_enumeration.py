@@ -26,6 +26,7 @@ from chainring.enumeration import (
     DEFAULT_ENUMERATION_CAP,
     ENUMERATION_CAP_ENV,
     _MessageSpace,
+    _check_card,
     _histogram,
 )
 from chainring.code import _inverse_positions
@@ -530,6 +531,13 @@ class TestDistributionParameters:
     def test_rejects_a_ring_that_does_not_exist(self, p, s, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             WeightDistribution(n=2, counts=(1, 0, 0), p=p, s=s, card=1, rank=0, free_rank=0)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_card_rule_applies_the_ring_rule_first(self, p):
+        # Its loop divides by p: p = 1 never ended and p = 0 raised
+        # ZeroDivisionError.
+        with pytest.raises(ValueError, match=f"^p must be a prime integer, got {p}$"):
+            _check_card(4, p, 1, 1, 1)
 
     @pytest.mark.parametrize("rank, free_rank", [(3, 0), (1, 2), (0, -1), (-1, -1)])
     def test_rejects_impossible_ranks(self, rank, free_rank):

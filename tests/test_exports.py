@@ -21,6 +21,8 @@ REMOVED = (
     "enumerate_codewords",
     "cardinality",
     "parity_check",
+    "PascalSystem",
+    "submatrix",
 )
 
 # Methods removed with the exports above: the element wrapper's helpers on
@@ -30,7 +32,7 @@ REMOVED_MEMBERS = {
         "gamma", "zero", "one", "element", "sub", "gamma_code", "elements",
         "residue_representatives",
     ),
-    chainring.RingMatrix: ("is_zero",),
+    chainring.RingMatrix: ("is_zero", "transpose"),
     chainring.LinearCode: ("same_codewords", "contains"),
 }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -12,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from chainring import (
     ChainRing,
     IdentityContext,
-    PascalSystem,
     WeightDistribution,
     check_new_relation,
     code_from_generators,
@@ -26,7 +26,6 @@ from chainring import (
     power_moment,
     solve_distribution,
     solve_distribution_pless,
-    submatrix,
     weight_distribution,
 )
 from chainring.identities import binomial
@@ -36,6 +35,7 @@ from oracles import (
     identity_matrix,
     oracle_macwilliams,
     small_defect_distribution,
+    submatrix,
 )
 
 Z4 = ChainRing(2, 2)
@@ -313,8 +313,14 @@ class TestIdentityContext:
     def test_from_profile_validates(self):
         with pytest.raises(ValueError, match="counts"):
             IdentityContext.from_profile(3, 2, 2, (1,))
-        with pytest.raises(ValueError, match="exceeds"):
+        with pytest.raises(ValueError, match="^need 0 <= free_rank <= rank <= n, got 2, 3 and 2$"):
             IdentityContext.from_profile(2, 2, 2, (2, 1))
+
+    def test_from_profile_applies_the_ring_rule(self):
+        # s = 0 passed the length check with an empty profile, whose free
+        # rank was read as counts[0]: IndexError.
+        with pytest.raises(ValueError, match="^s must be an integer >= 1, got 0$"):
+            IdentityContext.from_profile(3, 2, 0, ())
 
     def test_from_code_matches_from_profile(self, corpus):
         for entry in corpus[:10]:
@@ -327,58 +333,33 @@ class TestIdentityContext:
 
 
 class TestPascalSystem:
-    def test_c1_system(self):
-        system = PascalSystem.build(c1_context(d=2, d_dual=2))
-        assert system.nus == (3, 4)
-        assert system.rhs == (500, 15625)
-        assert system.coefficient(3, 2) == 2
+    """The truncated Pascal system, through ``solve_distribution``: one
+    equation per nu above n - d_dual."""
 
     def test_needs_dual_distance(self):
         with pytest.raises(ValueError, match="dual minimum distance"):
-            PascalSystem.build(c1_context())
+            solve_distribution(c1_context(), {})
 
     def test_rhs_integral_on_corpus(self, corpus):
+        # Every count known: the solver only checks the knowns against each row.
         for entry in corpus[:30]:
-            system = PascalSystem.build(entry.context())
-            assert all(b >= 0 for b in system.rhs)
+            known = dict(enumerate(entry.dist.counts))
+            assert solve_distribution(entry.context(), known) == entry.dist, entry.label
 
     def test_column_subsets_stay_independent(self, corpus):
-        # any <= d_dual unknown columns must be determined by the equations
+        # any <= d_dual unknown counts must be determined by the equations
         import itertools
 
         for entry in corpus[:10]:
             ctx = entry.context()
-            system = PascalSystem.build(ctx)
             n, dd = ctx.n, ctx.d_dual
             for size in range(1, min(dd, 3) + 1):
                 for cols in itertools.islice(
                     itertools.combinations(range(n + 1), size), 12
                 ):
-                    rows = [
-                        [Fraction(system.coefficient(nu, l)) for l in cols]
-                        for nu in system.nus
-                    ]
-                    rank = _exact_rank(rows)
-                    assert rank == size, (entry.label, cols)
-
-
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    work = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for c in range(cols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = 1 / work[rank][c]
-        work[rank] = [x * inv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+                    known = {l: a for l, a in enumerate(entry.dist.counts) if l not in cols}
+                    solved = solve_distribution(dataclasses.replace(ctx, d=None), known)
+                    assert solved == entry.dist, (entry.label, cols)
 
 
 class TestSolveDistribution:
@@ -574,15 +555,6 @@ class TestEveryCountKnown:
         ):
             solve(c1_context(d=2, d_dual=2), {2: 248, 3: 1, 4: 15375})
 
-    def test_rows_match_the_oracle_formulas(self):
-        # The check evaluates, and the solver stacks, the same relation.
-        ctx = c1_context(d=2, d_dual=2)
-        system = PascalSystem.build(ctx)
-        for nu, b in zip(system.nus, system.rhs):
-            coeffs = [system.coefficient(nu, l) for l in range(ctx.n + 1)]
-            assert coeffs == [comb(ctx.n - l, nu - l) if l <= nu else 0 for l in range(ctx.n + 1)]
-            assert check_new_relation(c1_dist(), nu).rhs == b
-
 
 class TestImpossibleInputsRefused:
     """A dual distance no code has, a ring that does not exist, and contexts
@@ -630,6 +602,22 @@ class TestImpossibleInputsRefused:
                 r"and free rank 1 over a ring of 2\*\*2 elements",
                 id="card-of-another-type",
             ),
+            pytest.param(
+                dict(n=3, p=2, s=2, card=16, rank=2, free_rank=2, d=0),
+                "distance 0 out of range 1..3",
+                id="distance-zero",
+            ),
+            pytest.param(
+                dict(n=3, p=2, s=2, card=16, rank=2, free_rank=2, d=4, d_dual=9),
+                "distance 4 out of range 1..3",
+                id="distance-above-length",
+            ),
+            pytest.param(
+                # Singleton on both sides: d <= n - k + 1 and d_dual <= k + 1.
+                dict(n=3, p=2, s=2, card=16, rank=2, free_rank=2, d=3, d_dual=4),
+                r"distances 3 and 4 break the Singleton bound d \+ d_dual <= 5",
+                id="distances-past-singleton",
+            ),
         ],
     )
     def test_context_no_code_has(self, params, message):
@@ -642,6 +630,23 @@ class TestImpossibleInputsRefused:
         # d_dual = 0 stacked no row and returned (1, 0, 1000, 5000, 9624).
         with pytest.raises(ValueError, match=f"^dual distance {d_dual} out of range 1..5$"):
             solve(c1_context(d=2, d_dual=d_dual), {2: 1000, 3: 5000, 4: 9624})
+
+    @pytest.mark.parametrize(
+        "solve, nu, value",
+        [
+            # d_dual = 4 puts nu = 1 above the threshold: 4 * 5**6 / 5**9.
+            (solve_distribution, 1, "4/125"),
+            # and nu = 3 below it: (5**6 / 125**3) * 4 * 124**3.
+            (solve_distribution_pless, 3, "7626496/125"),
+        ],
+    )
+    def test_right_side_no_code_has(self, solve, nu, value):
+        with pytest.raises(
+            ValueError,
+            match=f"^right-hand side at nu={nu} is {value}, not a nonnegative integer; "
+            "the context is inconsistent$",
+        ):
+            solve(c1_context(d=2, d_dual=4), {})
 
     @pytest.mark.parametrize("solve", [solve_distribution, solve_distribution_pless])
     def test_dual_distance_n_plus_one_still_solves(self, solve):
