@@ -25,7 +25,7 @@ from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Any
+from typing import Any, NoReturn
 
 from .code import LinearCode, classify, dual
 from .codefile import (
@@ -207,9 +207,11 @@ def _cmd_wdist(args) -> tuple[Any, int]:
         if not code.is_free:
             raise CodeFileError("the mds method needs a free code")
         n, k = code.n, code.rank
+        if not k:
+            raise CodeFileError("the mds method needs a nonzero code, and this is the zero code")
         # A free code of rank k is MDS exactly when every k-column submatrix
         # of G has the code's own type (k, 0, ..., 0).
-        if k and count_submatrix_types(code.generator_matrix(), k) != {code.profile: comb(n, k)}:
+        if count_submatrix_types(code.generator_matrix(), k) != {code.profile: comb(n, k)}:
             raise CodeFileError("the mds method needs an MDS code, and this free code is not")
         dist = mds_distribution(n, k, code.ring.p, code.ring.s)
     payload: Any = distribution_to_obj(dist)
@@ -408,8 +410,15 @@ _HANDLERS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line and exit 2, as every input error is."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chainring",
         description="Exact linear codes over finite chain rings: constructions, "
         "weight distributions, duality identities.",

@@ -41,19 +41,41 @@ iteration zeroes and fills views of their leading rows.  A digit whose radix
 p exceeds a table is split into contiguous chunks of its range, since
 [a, a+b)*h == a*h + [0, b)*h, so no ring falls back to a word per iteration.
 
-Two weights to a bin.  ``np.bincount`` first widens its input to intp, eight
-bytes a word, which cost about a third of ``weight_distribution``.  Below
-n = 64 the histogram reads each uint8 counter array as uint16 pairs, each
-the value w_a + 256*w_b, and counts half as many values into 256*(n+1) bins
-(an odd last word is counted on its own).  The pair in bin (high, low) is
-one word of weight high and one of weight low, so the histogram is the sum
-of the two marginals of the (n+1) x 256 bin table: as both are added, the
-fold does not depend on which word of a pair the machine's byte order puts
-high.  The bin table is bounded by the pairs of a full grid,
-``_BLOCK_CELLS // 2`` cells, since each iteration allocates and adds a table
-of that size: wider tables cost more than the widening they save (measured
-on 2**16-word Z/4 codes, from n = 104 every call is slower), so longer
-codes keep the plain count.
+Counting weights.  ``_histogram`` picks one of three counts by n alone.
+``np.bincount`` adds one to a counter per value, and when most values are
+equal each add waits on the store of the one before it.  That is the common
+case in this package's regime: over a large ring almost every word of a
+short code with a small Singleton defect has full weight (94% of a Z/81
+length-5 code and of its dual).  Timed on 2**15-word uint8 arrays (2-core
+x86_64, numpy 2.4), the pair count below takes about 40 us for weights drawn
+uniformly and 67-70 us when 93% of them equal n, while one equality pass
+takes 6-8 us per weight value whatever the spread.
+
+- n < 7: one ``np.equal(weights, w)`` into a bool buffer and one
+  ``np.count_nonzero`` for each w = 0..n.  The buffer is allocated once per
+  call at ``_BLOCK_CELLS`` cells, the size of the largest grid.  Weight n
+  gets its own pass too, rather than the rest of the words, so that a kernel
+  that yields a weight above n or the wrong number of words still fails
+  ``WeightDistribution``'s check that the counts total |C|.  On skewed
+  arrays the passes win up to n = 6 and tie at n = 7; on uniform ones they
+  win up to n = 4 only, but whole calls on codes of n = 5 and 6 whose
+  weights spread (full spaces over Z/4, Z/5, Z/7, Z/8 and Z/9, at most
+  half of the words at full weight) took 0.98-1.02 times as long as with
+  the pairs, and on Z/81 codes 0.87-0.92 times.
+- 7 <= n < 64: two weights to a bin.  ``np.bincount`` first widens its
+  input to intp, eight bytes a word, which cost about a third of
+  ``weight_distribution``.  The histogram reads each uint8 counter array as
+  uint16 pairs, each the value w_a + 256*w_b, and counts half as many values
+  into 256*(n+1) bins (an odd last word is counted on its own).  The pair in
+  bin (high, low) is one word of weight high and one of weight low, so the
+  histogram is the sum of the two marginals of the (n+1) x 256 bin table:
+  as both are added, the fold does not depend on which word of a pair the
+  machine's byte order puts high.
+- n >= 64: the plain count.  The pair table is bounded by the pairs of a
+  full grid, ``_BLOCK_CELLS // 2`` cells, since each iteration allocates
+  and adds a table of that size: wider tables cost more than the widening
+  they save (measured on 2**16-word Z/4 codes, from n = 104 every call is
+  slower).
 """
 
 from __future__ import annotations
@@ -83,6 +105,7 @@ DEFAULT_ENUMERATION_CAP = 1 << 24
 ENUMERATION_CAP_ENV = "CHAINRING_ENUM_CAP"
 
 _BLOCK_CELLS = 1 << 15
+_PAIRS_FROM = 7  # shorter codes count each weight with its own equality pass
 
 
 def enumeration_cap() -> int:
@@ -331,8 +354,19 @@ def _check_cap(total: int, cap: int | None) -> None:
 
 
 def _histogram(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Counts of weights 0..n over a stream of counter arrays of ``_narrowest(n + 1)``."""
+    """Counts of weights 0..n over a stream of counter arrays of ``_narrowest(n + 1)``.
+
+    Each array holds at most ``_BLOCK_CELLS`` counters, as the kernel's grids do.
+    """
     hist = np.zeros(n + 1, dtype=np.int64)
+    if n < _PAIRS_FROM:
+        buffer = np.empty(_BLOCK_CELLS, dtype=bool)
+        for weights in stream:
+            equal = buffer[: len(weights)]
+            for w in range(n + 1):
+                np.equal(weights, w, out=equal)
+                hist[w] += np.count_nonzero(equal)
+        return hist
     if 256 * (n + 1) > _BLOCK_CELLS // 2:
         for weights in stream:
             hist += np.bincount(weights, minlength=n + 1)

@@ -158,6 +158,16 @@ class TestWdist:
         ]
         assert run(capsys, "wdist", str(path)) == (0, '["1","6","9","0"]\n', "")
 
+    def test_mds_rejects_the_zero_code(self, capsys, tmp_path):
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"ring": {"p": 2, "s": 2}, "n": 3, "generators": []}))
+        status, out, err = run(capsys, "wdist", str(path), "--method", "mds")
+        assert status == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: the mds method needs a nonzero code, and this is the zero code"
+        ]
+
     def test_mds_closed_form_equals_enumeration(self, capsys, tmp_path):
         path = tmp_path / "mds.json"
         path.write_text(json.dumps(
@@ -835,9 +845,19 @@ class TestExitCodes:
         ]
 
     def test_usage_error(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["wdist"])  # missing file argument
-        assert exc.value.code == 2
+        # The parser's own errors keep the contract: exit 2, one error: line.
+        required = "the following arguments are required"
+        for argv, message in [
+            (["wdist"], f"{required}: file"),
+            (["wdist", "-", "--d", "x"], "argument --d: invalid int value: 'x'"),
+            (["mac"], f"{required}: file, --p, --s, --n, --card, --rank, --free-rank"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.splitlines() == [f"error: {message}"]
 
     def test_internal_error_exits_4_without_traceback(self, capsys, c1_file, monkeypatch):
         def broken(*args, **kwargs):
@@ -1261,8 +1281,7 @@ def contract_call(draw):
 
 class TestExitCodeContract:
     """Every subcommand, on seed-corpus documents with valid and invalid flag
-    values, under the default enumeration cap and a small one.  Only argv that
-    the parser accepts is drawn: argparse's own usage errors are not ours."""
+    values, under the default enumeration cap and a small one."""
 
     @settings(max_examples=300, deadline=None)
     @given(contract_call(), st.sampled_from([None, "50"]))

@@ -256,15 +256,17 @@ class TestEnumeratorRendering:
         assert render_enumerator(dist) == "X^2"
 
 
-def _systematic(ring, n, k, seed):
-    """A free code of rank k: [I_k | random], so |C| = q**k."""
+def _systematic_rows(ring, n, k, seed):
+    """The rows [I_k | random] of a free code of rank k, so |C| = q**k."""
     rng = random.Random(seed)
-    return code_from_generators(
-        ring,
-        n,
-        [[int(i == j) for j in range(k)] + [rng.randrange(ring.size) for _ in range(n - k)]
-         for i in range(k)],
-    )
+    return [
+        [int(i == j) for j in range(k)] + [rng.randrange(ring.size) for _ in range(n - k)]
+        for i in range(k)
+    ]
+
+
+def _systematic(ring, n, k, seed):
+    return code_from_generators(ring, n, _systematic_rows(ring, n, k, seed))
 
 
 class TestKernel:
@@ -448,12 +450,15 @@ class TestKernel:
 
 
 class TestPairHistogram:
-    """uint8 weights counted two to a bin, and the odd last word on its own."""
+    """uint8 weights counted by equality passes below n = 7, two to a bin up
+    to n = 63 (the odd last word on its own), and by the plain count above."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([0, 1, 14, 63, 64, 255]), st.data())
+    @given(st.sampled_from([0, 1, 6, 7, 14, 63, 64, 255]), st.data())
     def test_matches_plain_bincount(self, n, data):
-        # n = 63 is the widest pair table, 64 and 255 take the plain count.
+        # n = 6 is the longest code counted by equality passes and 7 the
+        # shortest counted in pairs; n = 63 is the widest pair table, 64 and
+        # 255 take the plain count.
         # Arrays of zero, odd and even length, in a stream of up to four.
         arrays = data.draw(st.lists(st.lists(st.integers(0, n), max_size=81), max_size=4))
         stream = [np.array(weights, dtype=np.uint8) for weights in arrays]
@@ -486,10 +491,16 @@ class TestPairHistogram:
         assert counts == brute_weight_counts(ring, rows, n)
         assert {w: c for w, c in enumerate(counts) if c} == {0: 1, 20: 1, 43: 1, 63: 5}
 
-    @pytest.mark.parametrize("n", [63, 255], ids=["widest-pairs", "widest-uint8"])
-    def test_traced_peak_stays_under_one_mib(self, n):
-        # 4**8 words: full grids of _BLOCK_CELLS words, two of them.
-        code = _systematic(Z4, n, 8, 0)
+    @pytest.mark.parametrize(
+        "code",
+        [
+            pytest.param(_systematic(ChainRing(2, 4), 5, 4, 0), id="equality-passes"),
+            pytest.param(_systematic(Z4, 63, 8, 0), id="widest-pairs"),
+            pytest.param(_systematic(Z4, 255, 8, 0), id="widest-uint8"),
+        ],
+    )
+    def test_traced_peak_stays_under_one_mib(self, code):
+        # 16**4 and 4**8 words: full grids of _BLOCK_CELLS words, two of them.
         assert code.cardinality >= 2 * _BLOCK_CELLS
         tracemalloc.start()
         try:
@@ -509,6 +520,17 @@ class TestPairHistogram:
         ring = ChainRing(2, 2, backend)
         assert weight_distribution(code_from_generators(ring, n, rows)).counts == counts
         assert counts == brute_weight_counts(ring, rows, n)
+
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    def test_skewed_weights_match_the_oracle(self, backend):
+        # A free [5, 2] code over Z/81 or F_3[u]/(u^4): almost every word has
+        # full weight, the case that stalls np.bincount.
+        ring = ChainRing(3, 4, backend)
+        rows = _systematic_rows(ring, 5, 2, 0)
+        code = code_from_generators(ring, 5, rows)
+        counts = weight_distribution(code).counts
+        assert counts == brute_weight_counts(ring, rows, 5)
+        assert counts[5] > 0.9 * code.cardinality
 
     @pytest.mark.parametrize("backend", ["int", "poly"])
     def test_wide_ring_code_with_odd_arrays(self, backend):
