@@ -149,7 +149,7 @@ def dual(code: LinearCode) -> LinearCode:
     Its type must equal (n-K, k_{s-1}, ..., k_1); anything else is a fatal
     internal inconsistency.
     """
-    result = code_from_generators(code.ring, code.n, code.parity_check().rows)
+    result = LinearCode(code.ring, code.n, standard_form(code.parity_check()))
     expected = code.profile.dual(code.n).counts
     if result.profile.counts != expected:
         raise InvariantError(

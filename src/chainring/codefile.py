@@ -14,9 +14,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from .code import LinearCode, code_from_generators
+from .code import LinearCode
 from .enumeration import WeightDistribution
-from .matrix import RingMatrix
+from .matrix import RingMatrix, standard_form
 from .ring import BACKENDS, ChainRing
 
 __all__ = [
@@ -104,7 +104,8 @@ def distribution_to_obj(dist: WeightDistribution) -> list[str]:
 
 @dataclass(frozen=True)
 class CodeDocument:
-    """Parsed code file: the ring, the length, and the raw generator rows."""
+    """Parsed code file: the ring, the length, and the generator rows as
+    element codes."""
 
     ring: ChainRing
     n: int
@@ -112,7 +113,9 @@ class CodeDocument:
     name: str | None = None
 
     def to_code(self) -> LinearCode:
-        return code_from_generators(self.ring, self.n, self.generators)
+        # The rows hold element codes already: checked here, not encoded again.
+        matrix = RingMatrix(self.ring, self.generators, self.n)
+        return LinearCode(self.ring, self.n, standard_form(matrix))
 
     def to_obj(self) -> dict[str, Any]:
         obj: dict[str, Any] = {

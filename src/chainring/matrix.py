@@ -205,69 +205,70 @@ def standard_form(matrix: RingMatrix) -> StandardForm:
 # the rows before it, and of valuation >= e everywhere; support lists its
 # other nonzero entries as (position, code).  Up to unit scaling the rows
 # are a triangular, hence unimodular, basis, so the module's type is the
-# multiset of the levels e.  A swap (``_swap``) replaces a row in place by
-# one at a lower level on the same pivot, which keeps this shape.
+# multiset of the levels e.  A column is added in two parts: the common
+# step ``_reduce`` clears it at each pivot, which changes no row's level,
+# and ``_insert`` takes over at the first pivot where the column would lower
+# the row's level.  A swap (``_swap``) replaces a row in place by one at a
+# lower level on the same pivot, which keeps this shape; a reshape
+# (``_reshape``) rebuilds the rows from that one on.
 _Module = tuple[tuple[int, int, int, tuple[tuple[int, int], ...]], ...]
 
 
-def _insert(ring: ChainRing, module: _Module, counts: tuple[int, ...], column, keep: bool):
-    """The column module and its type counts after adding one column.
+def _reduce(add, mul, neg, module: _Module, v: list[int], t: int) -> int:
+    """Reduce the column v in place against the module's rows from row t on.
 
-    The column v is reduced against each row in turn.  Where v's entry at a
-    row's pivot has a valuation e1 below the row's level, v takes the row's
-    place at level e1 and the old row, cleared at the pivot, goes on as the
-    column (see ``_swap``), provided no entry of v lies below e1.  Otherwise,
-    which needs s >= 3, the rows from that one on are rebuilt (see
-    ``_reshape``).  With ``keep`` false only the counts are returned (the
-    module is None), for leaves of the walk.
+    This is the common step of adding a column: each row clears v at its
+    pivot, which leaves the row's level alone.  It stops at the first row
+    where v's entry has a valuation below the row's level, which takes
+    ``_insert``'s general path, and returns that row's index, or
+    len(module) once v is zero at every pivot.  add, mul and neg are the
+    ring's kit (``ChainRing.ops``), bound once by the caller.
     """
-    add, mul, neg, valuation, unit_part, inverse = ring.ops
-    powers = ring.gamma_powers
-    v = list(column)
-    rows = None  # a list of the module's rows once a swap has replaced one
-    for t, row in enumerate(module):
-        j, e, ge, support = row
+    for j, _, ge, support in module[t:]:
         x = v[j]
-        if not x:
-            continue
-        f, low = divmod(x, ge)  # ring.split(x, e): x == low + gamma**e * f
-        if low:
-            e1 = valuation(x)
-            if e1 and any(y and valuation(y) < e1 for y in v):
-                return _reshape(ring, module if rows is None else tuple(rows), counts, t, v, keep)
-            if rows is None:
-                rows = list(module)
-            # Without keep the new row stays None: a later _reshape reads
-            # only the rows from its own t on.
-            rows[t], v = _swap(ring, row, v, e1, keep)
-            moved = list(counts)
-            moved[e] -= 1
-            moved[e1] += 1
-            counts = tuple(moved)
-            continue
-        v[j] = 0
-        f = neg(f)
-        for i, y in support:
-            v[i] = add(v[i], mul(f, y))
-    if rows is not None:
-        module = tuple(rows)
-    # The first entry of least valuation becomes the new pivot.
-    j, e = -1, ring.s
-    for i, x in enumerate(v):
         if x:
-            level = valuation(x)
-            if level < e:
-                j, e = i, level
-                if e == 0:
-                    break
-    if j < 0:
-        return (module if keep else None), counts
-    counts = counts[:e] + (counts[e] + 1,) + counts[e + 1 :]
-    if not keep:
-        return None, counts
-    scale = inverse(unit_part(v[j]))
-    support = tuple((i, mul(scale, x)) for i, x in enumerate(v) if x and i != j)
-    return module + ((j, e, powers[e], support),), counts
+            f, low = divmod(x, ge)  # ring.split(x, e): x == low + gamma**e * f
+            if low:
+                return t
+            v[j] = 0
+            f = neg(f)
+            for i, y in support:
+                v[i] = add(v[i], mul(f, y))
+        t += 1
+    return t
+
+
+def _insert(
+    ring: ChainRing, module: _Module, counts: tuple[int, ...], v: list[int], t: int, keep: bool
+):
+    """Go on adding the column v where ``_reduce`` stopped, at row t.
+
+    v's entry at the row's pivot has a valuation e1 below the row's level,
+    so v takes the row's place at level e1 and the old row, cleared at the
+    pivot, goes on as the column (see ``_swap``), provided no entry of v
+    lies below e1.  Otherwise, which needs s >= 3, the rows from that one on
+    are rebuilt (see ``_reshape``).  Returns the module, its counts and the
+    column left to place as a new row, reduced against every row; after a
+    reshape that column is empty, since the rebuilt rows hold it.  With
+    ``keep`` false the module is None, for leaves of the walk.
+    """
+    add, mul, neg, valuation, _, _ = ring.ops
+    rows = list(module)
+    moved = list(counts)
+    while t < len(rows):
+        row = rows[t]
+        j, e = row[0], row[1]
+        e1 = valuation(v[j])
+        if e1 and any(y and valuation(y) < e1 for y in v):
+            module, counts = _reshape(ring, tuple(rows), tuple(moved), t, v, keep)
+            return module, counts, ()
+        # Without keep the new row stays None: a later _reshape reads only
+        # the rows from its own t on.
+        rows[t], v = _swap(ring, row, v, e1, keep)
+        moved[e] -= 1
+        moved[e1] += 1
+        t = _reduce(add, mul, neg, rows, v, t + 1)
+    return (tuple(rows) if keep else None), tuple(moved), v
 
 
 def _swap(ring: ChainRing, row, v: list[int], e1: int, keep: bool):
@@ -303,6 +304,7 @@ def _reshape(ring: ChainRing, module: _Module, counts: tuple[int, ...], t: int, 
     elimination: its block standard form rows, mapped back through the column
     permutation, have the module's row shape and stay zero at those pivots.
     """
+    powers = ring.gamma_powers
     width = len(v)
     rows = []
     counts = list(counts)
@@ -321,7 +323,7 @@ def _reshape(ring: ChainRing, module: _Module, counts: tuple[int, ...], t: int, 
     rebuilt = []
     for i, e in enumerate(e for e, k in enumerate(tail) for _ in range(k)):
         support = tuple((perm[c], x) for c, x in enumerate(rows[i]) if x and c != i)
-        rebuilt.append((perm[i], e, ring.gamma_pow(e), support))
+        rebuilt.append((perm[i], e, powers[e], support))
     return module[:t] + tuple(rebuilt), counts
 
 
@@ -331,10 +333,13 @@ def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile,
     H_I has the type of the module its columns span in R^r (r = nrows).  The
     subsets are walked depth first in lexicographic order, each node holding
     the reduced column module of its prefix, so subsets with a common prefix
-    share its reduction.  A node one column short counts its leaves as it
-    adds their columns, without keeping their modules.  Once the prefix spans
-    all of R^r (t_0 = r), every extension has the same type and the whole
-    subtree is counted at once.
+    share its reduction.  A column is added by the common step ``_reduce``,
+    with the ring's kit bound once here, and by ``_insert`` only from the
+    first row whose level it would lower; the column left over becomes a new
+    row at its least valuation, which this loop reads.  A node one column
+    short counts its leaves as it adds their columns, without keeping their
+    modules.  Once the prefix spans all of R^r (t_0 = r), every extension
+    has the same type and the whole subtree is counted at once.
     nu = 0 counts the single empty subset.  Raises CapExceededError, before
     any column is reduced, if comb(ncols, nu) exceeds the cap.
     """
@@ -343,13 +348,17 @@ def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile,
     if total > cap:
         raise CapExceededError(f"{total} column subsets exceed the cap of {cap}")
     ring = matrix.ring
+    s = ring.s
+    add, mul, neg, valuation, unit_part, inverse = ring.ops
+    powers = ring.gamma_powers
     columns = [tuple(row[c] for row in matrix.rows) for c in range(ncols)]
-    full = (matrix.nrows,) + (0,) * (ring.s - 1)
+    full = (matrix.nrows,) + (0,) * (s - 1)
     tally: dict[tuple[int, ...], int] = {}
     # Nodes: (first column left to pick, columns left to pick, module, counts).
-    stack = [(0, nu, (), (0,) * ring.s)]
+    stack = [(0, nu, (), (0,) * s)]
     while stack:
         start, left, module, counts = stack.pop()
+        size = len(module)
         if counts == full:
             tally[full] = tally.get(full, 0) + comb(ncols - start, left)
         elif left == 0:  # the empty subset, nu = 0
@@ -357,13 +366,47 @@ def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile,
         elif left == 1:
             # The children are leaves: counted here, in lexicographic order.
             for c in range(start, ncols):
-                _, leaf = _insert(ring, module, counts, columns[c], False)
+                v = list(columns[c])
+                leaf = counts
+                t = _reduce(add, mul, neg, module, v, 0)
+                if t < size:
+                    _, leaf, v = _insert(ring, module, counts, v, t, False)
+                # The leaf's new row, if any, has the least valuation in v.
+                e = s
+                for x in v:
+                    if x:
+                        level = valuation(x)
+                        if level < e:
+                            e = level
+                            if not e:
+                                break
+                if e < s:
+                    leaf = leaf[:e] + (leaf[e] + 1,) + leaf[e + 1 :]
                 tally[leaf] = tally.get(leaf, 0) + 1
         else:
             # Children are pushed last first, so they are visited in lexicographic order.
             for c in range(ncols - left, start - 1, -1):
-                child = _insert(ring, module, counts, columns[c], True)
-                stack.append((c + 1, left - 1, *child))
+                v = list(columns[c])
+                child, child_counts = module, counts
+                t = _reduce(add, mul, neg, module, v, 0)
+                if t < size:
+                    child, child_counts, v = _insert(ring, module, counts, v, t, True)
+                # The first entry of least valuation becomes the new pivot.
+                j, e = -1, s
+                for i, x in enumerate(v):
+                    if x:
+                        level = valuation(x)
+                        if level < e:
+                            j, e = i, level
+                            if not e:
+                                break
+                if e < s:
+                    scale = inverse(unit_part(v[j]))
+                    # A list comprehension: quicker here than draining a generator.
+                    support = tuple([(i, mul(scale, x)) for i, x in enumerate(v) if x and i != j])
+                    child += ((j, e, powers[e], support),)
+                    child_counts = child_counts[:e] + (child_counts[e] + 1,) + child_counts[e + 1 :]
+                stack.append((c + 1, left - 1, child, child_counts))
     return {TypeProfile(counts): k for counts, k in tally.items()}
 
 

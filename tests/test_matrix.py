@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 from math import comb
 
@@ -326,21 +327,24 @@ class TestCountSubmatrixTypes:
 
     def test_full_rank_prefix_counts_its_subtree(self, monkeypatch):
         # Once a prefix spans Z/4^2 no column is added to it, yet every
-        # subset is counted.
-        inserted_into = []
-        insert = chainring.matrix._insert
+        # subset is counted.  The walk adds each column to its prefix's
+        # module through _reduce from row 0 (_insert resumes further on).
+        added_to = []
+        reduce = chainring.matrix._reduce
 
-        def spy(ring, module, counts, *args):
-            inserted_into.append(counts)
-            return insert(ring, module, counts, *args)
+        def spy(add, mul, neg, module, v, t):
+            if t == 0:
+                added_to.append(sorted(row[1] for row in module))
+            return reduce(add, mul, neg, module, v, t)
 
-        monkeypatch.setattr(chainring.matrix, "_insert", spy)
+        monkeypatch.setattr(chainring.matrix, "_reduce", spy)
         h = RingMatrix.build(Z4, [(1, 0, 2, 2, 0, 3), (0, 1, 2, 0, 2, 1)])
         for nu in range(1, 7):
             tally = count_submatrix_types(h, nu)
             assert tally == reduced_submatrix_tally(h, nu)
             assert sum(tally.values()) == comb(6, nu)
-        assert inserted_into and (2, 0) not in inserted_into
+        # Levels [0, 0]: two free rows, the full rank of Z/4^2.
+        assert added_to and [0, 0] not in added_to
 
     def test_matrix_without_rows(self):
         h = RingMatrix(F2U2, (), 4)
@@ -357,6 +361,41 @@ class TestCountSubmatrixTypes:
             count_submatrix_types(m, 0)
         with pytest.raises(ValueError):
             count_submatrix_types(m, 4)
+
+
+def free_rows(rng: random.Random, ring: ChainRing, n: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """k rows of length n, drawn until they span a free code of rank k."""
+    while True:
+        rows = tuple(tuple(rng.randrange(ring.size) for _ in range(n)) for _ in range(k))
+        if standard_form(RingMatrix(ring, rows, n)).profile.counts == (k,) + (0,) * (ring.s - 1):
+            return rows
+
+
+class TestScanAtTheBenchmarkShape:
+    """Free [10, 5] codes over Z/4 and their F_2[u]/(u^2) twins (the same
+    codes read as packed coefficients), the shape of the benchmark's subset
+    scans: parity checks of 5 x 10, where the hypothesis draws stop at 4 x 6."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reduction_of_every_submatrix(self, seed, monkeypatch):
+        seen = spy_on_module_changes(monkeypatch)
+        rows = free_rows(random.Random(seed), Z4, 10, 5)
+        for ring in (Z4, F2U2):
+            code = code_from_generators(ring, 10, rows)
+            assert code.is_free and code.rank == 5
+            parity = code.parity_check()
+            for nu in range(11):
+                expected = reduced_submatrix_tally(parity, nu)
+                if nu:
+                    assert count_submatrix_types(parity, nu) == expected, (ring, nu)
+                kernel_side = sum(
+                    count * ring.size**nu // profile.module_size(ring.p)
+                    for profile, count in expected.items()
+                )
+                assert double_count_check(code, nu).kernel_side == kernel_side, (ring, nu)
+        # Some columns lower a pivot's level, so the walk's common step hands
+        # them to the swap; a reshape needs s >= 3.
+        assert seen["swap"] and not seen["reshape"]
 
 
 # Rings above TABLE_RING_SIZE, whose ring.ops are the ring's own methods;
