@@ -19,25 +19,33 @@ value of the high digit rows, every value of the low ones.
 Coefficient planes.  The builder only adds and takes integer multiples, so
 it works in the additive group of R**n: (Z/q)**n, or (Z/p)**(n*s) for
 F_p[u]/(u**s), whose digit rows are unpacked once into s coefficient planes
-mod p.  Both backends take one modular ``a + d*b`` (``_vec_add``) per digit,
-and a finished table is packed back into base-p element codes, stored in the
-narrowest unsigned dtype that holds them.
+mod p.  A table takes the multiples of its low digit rows from one
+broadcast and adds each digit with one broadcast add; the sums are reduced
+mod m once per table, in an accumulator dtype sized from the digit count.
+Each digit adds at most (p-1)*(m-1), so with q <= 2**31 only codes of more
+than 2**150 words could pass uint64, and those are refused.  A finished
+table is packed back into base-p element codes, stored in the narrowest
+unsigned dtype that holds them.
 
 Compare, don't add.  In any ring a + b == 0 exactly when a == -b.  The low
 digit rows span an inner table of words; the high ones give outer offsets,
 built negated (-h is (m-1)*h mod m).  Word (outer, inner) then has weight
 ``count_nonzero(inner != -outer)``: one comparison per cell of the packed
-codes, with no modular addition.  Each column's comparison lands in a bool
-buffer that the counter grid adds through a uint8 view of the same bytes,
-so the add runs no bool-to-integer cast.
+codes, with no modular addition.  The first column's comparison starts the
+counter grid, written through a bool view of its bytes (cast into a uint16
+grid from n = 256); each later column's lands in a bool buffer that the
+grid adds through a uint8 view of the same bytes, so the add runs no
+bool-to-integer cast.
 
 Cell budget.  No array the enumeration allocates holds more than
 ``_BLOCK_CELLS`` cells, plane cells included: word tables hold at most
 ``_BLOCK_CELLS // width`` words of n*planes cells (one word when a word is
-larger), and one kernel iteration compares a run of negated offsets with the
+larger), the multiples of a table's digit rows no more cells than the
+table (a radix r adds r rows, and a product of radices is at least their
+sum), and one kernel iteration compares a run of negated offsets with the
 inner table in a grid of at most ``_BLOCK_CELLS`` words.  The counter grid
 and the compare buffer are allocated once per call at that size; each
-iteration zeroes and fills views of their leading rows.  A digit whose radix
+iteration overwrites views of their leading rows.  A digit whose radix
 p exceeds a table is split into contiguous chunks of its range, since
 [a, a+b)*h == a*h + [0, b)*h, so no ring falls back to a word per iteration.
 
@@ -52,10 +60,12 @@ uniformly and 67-70 us when 93% of them equal n, while one equality pass
 takes 6-8 us per weight value whatever the spread.
 
 - n < 7: one ``np.equal(weights, w)`` into a bool buffer and one
-  ``np.count_nonzero`` for each w = 0..n.  The buffer is allocated once per
-  call at ``_BLOCK_CELLS`` cells, the size of the largest grid.  Weight n
-  gets its own pass too, rather than the rest of the words, so that a kernel
-  that yields a weight above n or the wrong number of words still fails
+  ``np.count_nonzero`` for each w from n down, until the passes have counted
+  every word of the grid (three or four of the six passes on most grids of
+  a Z/81 [5, 2] code's dual).  The buffer is allocated once per call at
+  ``_BLOCK_CELLS`` cells, the size of the largest grid.  Each weight gets
+  its own pass, rather than the rest of the words, so that a kernel that
+  yields a weight above n never leaves a grid early and still fails
   ``WeightDistribution``'s check that the counts total |C|.  On skewed
   arrays the passes win up to n = 6 and tie at n = 7; on uniform ones they
   win up to n = 4 only, but whole calls on codes of n = 5 and 6 whose
@@ -227,13 +237,6 @@ def _narrowest(bound: int) -> np.dtype:
     return np.min_scalar_type(bound - 1)
 
 
-def _vec_add(m: int, a, b: np.ndarray, d=1) -> np.ndarray:
-    """Entrywise a + d*b mod m for integer multiples d, broadcast; the dtype must hold a + d*b."""
-    out = a + d * b
-    out %= m
-    return out
-
-
 _Digits = list[tuple[np.ndarray, int]]  # (row, radix) pairs, high digit first
 
 
@@ -249,7 +252,6 @@ class _MessageSpace:
         self.n = n
         self.width = n * self.planes
         self.narrow = _narrowest(q)
-        self.wide = _narrowest(p * self.modulus)  # holds a + d*h for a digit d < p
         self.place = p ** np.arange(self.planes, dtype=self.narrow)
         self.table_rows = max(1, _BLOCK_CELLS // max(self.width, 1))
         rows = code.std.reduced.rows
@@ -265,6 +267,12 @@ class _MessageSpace:
         digits = np.array(digits, dtype=np.int64).reshape(len(digits), n, 1)
         self.digits = (digits // self.place % self.modulus).reshape(len(digits), self.width)
         self.total = p ** len(digits)
+        # A table sums at most (p-1)*(m-1) per digit before its one reduction,
+        # which takes m itself as an operand of the same dtype.
+        m = self.modulus
+        self.acc = _narrowest(max((p - 1) * (m - 1) * len(digits), m) + 1)
+        if self.acc == object:
+            raise CapExceededError(f"code has {self.total} words, too many to sum in uint64")
 
     def _split(self, digits: _Digits) -> int:
         """How many of the lowest ``digits`` span at most one table."""
@@ -278,17 +286,19 @@ class _MessageSpace:
         """Words with the ``high`` digits at mixed-radix ``index`` and every value of ``low``.
 
         Table rows run in message order.  The offset of the high digits is one
-        row; each low digit then multiplies the table by its radix.  Planes are packed last.
+        row; each low digit then multiplies the table by its radix, adding its
+        multiples from one broadcast.  The sums are reduced once and planes packed last.
         """
-        m = self.modulus
-        words = np.zeros((1, self.width), dtype=self.wide)
+        words = np.zeros((1, self.width), dtype=self.acc)
         for row, radix in reversed(high):
             index, d = divmod(index, radix)
-            if d:
-                words = _vec_add(m, words, row, d)
-        for row, radix in low:
-            values = np.arange(radix, dtype=self.wide)[:, None]
-            words = _vec_add(m, words[:, None, :], row, values).reshape(-1, self.width)
+            words += d * row
+        if low:
+            rows = np.array([row for row, _ in low], dtype=self.acc)[:, None, :]
+            multiples = rows * np.arange(max(radix for _, radix in low), dtype=self.acc)[:, None]
+            for values, (_, radix) in zip(multiples, low):
+                words = (words[:, None, :] + values[:radix]).reshape(-1, self.width)
+        words %= self.modulus
         if self.planes > 1:
             return words.reshape(len(words), self.n, self.planes) @ self.place
         return words.astype(self.narrow)
@@ -307,9 +317,9 @@ class _MessageSpace:
         overwrites: it is valid only until the generator resumes.
         """
         n, p, m = self.n, self.p, self.modulus
-        negated = _vec_add(m, 0, self.digits, m - 1)  # -h == (m-1)*h
-        inner = [(h, p) for h in self.digits.astype(self.wide)]
-        outer = [(h, p) for h in negated.astype(self.wide)]
+        negated = (m - 1) * self.digits % m  # -h == (m-1)*h
+        inner = [(h, p) for h in self.digits.astype(self.acc)]
+        outer = [(h, p) for h in negated.astype(self.acc)]
         cut = len(inner) - self._split(inner)
         chunks = 0
         inner, outer = inner[cut:], outer[:cut]
@@ -318,14 +328,16 @@ class _MessageSpace:
             # [0, b) of it, and a chunk digit steps the offsets by b*h.
             b = self.table_rows
             chunks = -(-p // b)
-            inner = [(self.digits[-1].astype(self.wide), b)]
-            step = _vec_add(m, 0, negated[-1], b).astype(self.wide)
-            outer[-1] = (step, chunks)
+            inner = [(self.digits[-1].astype(self.acc), b)]
+            outer[-1] = ((b * negated[-1] % m).astype(self.acc), chunks)
         inner_table = self.table([], 0, inner)
         inner_cols = np.ascontiguousarray(inner_table.T)
         size = len(inner_table)
         per = max(1, _BLOCK_CELLS // size)
-        grids = np.empty((per, size), dtype=_narrowest(n + 1))
+        grids = np.zeros((per, size), dtype=_narrowest(n + 1))  # a length-0 code's stay zero
+        # The first column's comparison starts the grid: through a bool view of
+        # uint8 counters, or cast into uint16 ones.
+        starts = grids.view(bool) if grids.itemsize == 1 else grids
         compares = np.empty((per, size), dtype=bool)
         flags = compares.view(np.uint8)  # bool's item size: the add runs no cast
         position = 0
@@ -334,8 +346,9 @@ class _MessageSpace:
             for k in range(parts):
                 lo, hi = k * len(negs) // parts, (k + 1) * len(negs) // parts
                 grid, differs = grids[: hi - lo], compares[: hi - lo]
-                grid.fill(0)
-                for col in range(n):
+                if n:
+                    np.not_equal(negs[lo:hi, 0, None], inner_cols[0], out=starts[: hi - lo])
+                for col in range(1, n):
                     np.not_equal(negs[lo:hi, col, None], inner_cols[col], out=differs)
                     grid += flags[: hi - lo]
                 if chunks:
@@ -363,9 +376,14 @@ def _histogram(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
         buffer = np.empty(_BLOCK_CELLS, dtype=bool)
         for weights in stream:
             equal = buffer[: len(weights)]
-            for w in range(n + 1):
+            left = len(weights)
+            for w in range(n, -1, -1):
                 np.equal(weights, w, out=equal)
-                hist[w] += np.count_nonzero(equal)
+                found = np.count_nonzero(equal)
+                hist[w] += found
+                left -= found
+                if not left:
+                    break
         return hist
     if 256 * (n + 1) > _BLOCK_CELLS // 2:
         for weights in stream:

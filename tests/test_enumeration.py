@@ -55,7 +55,7 @@ def small_code(draw):
 
 def word_tables(space: _MessageSpace):
     """Every word of the message space in message order, from the table builder."""
-    return space.tables([(h, space.p) for h in space.digits.astype(space.wide)])
+    return space.tables([(h, space.p) for h in space.digits.astype(space.acc)])
 
 
 def codewords(code):
@@ -278,10 +278,12 @@ class TestKernel:
             pytest.param(_systematic(Z4, 14, 10, 0), id="free-z4-n14-k10"),
             pytest.param(_systematic(ChainRing(2, 2, "poly"), 14, 10, 0), id="free-f2u2-n14-k10"),
             pytest.param(dual(_systematic(ChainRing(3, 4, "poly"), 5, 2, 0)), id="dual-f3u4-n5-k2"),
+            # uint32 table sums, as wide as the words they reduce to
+            pytest.param(_systematic(ChainRing(257, 2), 2, 1, 0), id="free-z66049-n2-k1"),
         ],
     )
     def test_traced_peak_stays_under_one_mib(self, code):
-        assert code.cardinality in (4**10, 81**3)
+        assert code.cardinality in (4**10, 81**3, 257**2)
         tracemalloc.start()
         try:
             weight_distribution(code)
@@ -449,23 +451,153 @@ class TestKernel:
         assert weight_distribution(code).counts == counts
 
 
+def _leveled_rows(ring, n, levels, rng):
+    """Rows gamma**l_i * (e_i | tail) in shuffled columns, tails mostly non-units.
+
+    Before the shuffle, column i < len(levels) carries gamma**l_i in row i
+    alone, so the code has p**sum(s - l_i) words.
+    """
+    k = len(levels)
+    nonunits = range(0, ring.size, ring.p)
+    rows = []
+    for i, level in enumerate(levels):
+        tail = [
+            rng.choice(nonunits) if rng.random() < 0.7 else rng.randrange(ring.size)
+            for _ in range(n - k)
+        ]
+        row = [int(i == j) for j in range(k)] + tail
+        rows.append([ring.mul(ring.gamma_pow(level), x) for x in row])
+    order = list(range(n))
+    rng.shuffle(order)
+    return [[row[j] for j in order] for row in rows]
+
+
+class TestTableAccumulator:
+    """Word tables sum their digits' multiples in a dtype sized from the digit
+    count, and reduce once: (p-1)*(m-1) per digit must fit."""
+
+    @pytest.mark.parametrize(
+        "p, s, backend, levels, acc",
+        [
+            (2, 4, "int", [0, 0, 0, 0, 3], np.uint8),  # 17 digit rows: sums up to 255
+            (2, 4, "int", [0, 0, 0, 0, 2], np.uint16),  # 18 digit rows: up to 270
+            (2, 4, "int", [0] * 5, np.uint16),  # a free Z/16 code, 20 digit rows
+            (2, 4, "poly", [0] * 5, np.uint8),  # its twin sums planes mod 2
+            (257, 1, "int", [0, 0], np.uint32),  # sums reach 256*256 = 65,536
+            (257, 1, "poly", [0, 0], np.uint32),
+            (257, 2, "int", [0], np.uint32),
+        ],
+        ids=["z16-17", "z16-18", "z16-free", "f2u4-free", "z257", "f257", "z66049"],
+    )
+    def test_edges_match_the_dual_side(self, p, s, backend, levels, acc):
+        ring = ChainRing(p, s, backend)
+        n = len(levels) + 1
+        code = code_from_generators(ring, n, _leveled_rows(ring, n, levels, random.Random(0)))
+        space = _MessageSpace(code)
+        assert space.acc == acc
+        assert space.total == p ** sum(s - level for level in levels)
+        expected = macwilliams_transform(weight_distribution(dual(code)))
+        assert weight_distribution(code).counts == expected.counts
+
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    @pytest.mark.parametrize(
+        "p, s, rows",
+        [(257, 1, []), (2, 8, [[128, 0, 128]]), (2, 8, [[64, 128, 0]])],
+        ids=["z257-zero", "z256-one-digit", "z256-two-digits"],
+    )
+    def test_accumulator_holds_the_modulus(self, backend, p, s, rows):
+        # The one reduction takes m as an operand of the accumulator's dtype:
+        # with no digit, or one of radix 2, the sums alone fit a byte and m does not.
+        ring = ChainRing(p, s, backend)
+        code = code_from_generators(ring, 3, rows)
+        assert np.iinfo(_MessageSpace(code).acc).max >= ring.p ** (1 if backend == "poly" else s)
+        assert weight_distribution(code).counts == brute_weight_counts(ring, rows, 3)
+
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    def test_sums_past_65535_match_the_oracle(self, backend):
+        # Over Z/257 a unit entry negates to 256, and digit 256 times 256 is
+        # 65,536: a uint16 sum would wrap it to 0, which is not 65,536 mod 257.
+        ring = ChainRing(257, 1, backend)
+        rows = [[1, 0, 256], [0, 1, 1]]
+        code = code_from_generators(ring, 3, rows)
+        assert _MessageSpace(code).acc == np.uint32
+        assert weight_distribution(code).counts == brute_weight_counts(ring, rows, 3)
+
+    def test_refuses_sums_past_uint64(self):
+        # Five digits of radix 2**31 - 1 could sum past 2**64; four cannot.
+        ring = ChainRing(2**31 - 1, 1)
+        four = code_from_generators(ring, 4, identity_matrix(ring, 4).rows)
+        assert _MessageSpace(four).acc == np.uint64
+        code = code_from_generators(ring, 5, identity_matrix(ring, 5).rows)
+        with pytest.raises(CapExceededError, match="uint64"):
+            weight_distribution(code, cap=10**50)
+
+
+class TestMacWilliamsSide:
+    """The enumerated distribution of C against the transform of C_dual's."""
+
+    RINGS = [ChainRing(3, 4), ChainRing(5, 3), ChainRing(3, 4, "poly"), ChainRing(5, 3, "poly")]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(RINGS), st.integers(3, 6), st.data())
+    def test_distribution_is_the_transform_of_the_duals(self, ring, n, data):
+        # One side has between _BLOCK_CELLS and 2**21 words, so it spans at
+        # least two grids: the equality passes leave grids early both on the
+        # grid that holds the zero word and on grids that do not.
+        p, s = ring.p, ring.s
+        big = [e for e in range(1, s * n + 1) if _BLOCK_CELLS < p ** max(e, s * n - e) <= 1 << 21]
+        e = data.draw(st.sampled_from(big), label="log_p |C|")
+        k = data.draw(st.integers(-(-e // s), min(n, e)), label="rows")
+        rng = data.draw(st.randoms(use_true_random=False))
+        digits = [1] * k  # s - level of each row, summing to e
+        while sum(digits) < e:
+            i = rng.choice([i for i in range(k) if digits[i] < s])
+            digits[i] += 1
+        rows = _leveled_rows(ring, n, [s - d for d in digits], rng)
+        code = code_from_generators(ring, n, rows)
+        other = dual(code)
+        assert code.cardinality == p**e
+        assert max(code.cardinality, other.cardinality) > _BLOCK_CELLS
+        expected = macwilliams_transform(weight_distribution(other))
+        assert weight_distribution(code).counts == expected.counts
+
+
 class TestPairHistogram:
-    """uint8 weights counted by equality passes below n = 7, two to a bin up
+    """uint8 weights counted by equality passes below n = 7 (from weight n
+    down, leaving an array once every word in it is counted), two to a bin up
     to n = 63 (the odd last word on its own), and by the plain count above."""
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from([0, 1, 6, 7, 14, 63, 64, 255]), st.data())
-    def test_matches_plain_bincount(self, n, data):
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([0, 1, 6, 7, 14, 63, 64, 255]), st.sampled_from([0, 1, None]), st.data())
+    def test_matches_plain_bincount(self, n, skew, data):
         # n = 6 is the longest code counted by equality passes and 7 the
         # shortest counted in pairs; n = 63 is the widest pair table, 64 and
         # 255 take the plain count.
         # Arrays of zero, odd and even length, in a stream of up to four.
-        arrays = data.draw(st.lists(st.lists(st.integers(0, n), max_size=81), max_size=4))
+        # Skewed to weight n, the passes leave an array after the first few;
+        # skewed to 0, they run to the last.
+        weight = st.integers(0, n)
+        if skew is not None:
+            weight = st.one_of(*[st.just(skew * n)] * 3, weight)
+        arrays = data.draw(st.lists(st.lists(weight, max_size=81), max_size=4))
         stream = [np.array(weights, dtype=np.uint8) for weights in arrays]
         expected = np.zeros(n + 1, dtype=np.int64)
         for weights in stream:
             expected += np.bincount(weights, minlength=n + 1)
         assert _histogram(iter(stream), n).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_weight_above_n_comes_up_short(self, n):
+        # A kernel that yielded weight 7 or 255 at n = 6 must not pass
+        # WeightDistribution's check that the counts total |C|: the words
+        # above n are never counted, so no array is ever left early.
+        stream = [
+            np.array([n] * 40 + [n + 1, 0], dtype=np.uint8),
+            np.array([255] + [n] * 9, dtype=np.uint8),
+        ]
+        hist = _histogram(iter(stream), n)
+        assert hist[0] == 1 and hist[n] == 49
+        assert hist.sum() == sum(map(len, stream)) - 2
 
     @pytest.mark.parametrize("backend", ["int", "poly"])
     def test_last_uint8_length_reaches_weight_255(self, backend):
