@@ -48,6 +48,7 @@ from .enumeration import (
 from .errors import CapExceededError, InvariantError
 from .identities import (
     IdentityContext,
+    _dual_distance,
     check_new_relation,
     double_count_check,
     macwilliams_transform,
@@ -122,12 +123,6 @@ def _distribution_from_counts(code: LinearCode, counts: list[int]) -> WeightDist
         rank=code.rank,
         free_rank=code.free_rank,
     )
-
-
-def _dual_distance(dual_dist: WeightDistribution) -> int:
-    # The zero dual has no nonzero word; every nu then falls below the bound.
-    d = dual_dist.min_positive_weight
-    return d if d is not None else dual_dist.n + 1
 
 
 # -- handlers ------------------------------------------------------------------

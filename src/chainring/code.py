@@ -167,6 +167,23 @@ def kernel_code(matrix: RingMatrix) -> LinearCode:
     return dual(code_from_generators(matrix.ring, matrix.ncols, matrix.rows))
 
 
+def _check_distances(n: int, d: int | None, d_dual: int | None) -> None:
+    """Refuse distances that no length-n code and its dual have.
+
+    A nonzero code has 1 <= d <= n; the dual may be zero, of distance n + 1
+    by convention.  The Singleton bound on both sides, with |C| |C_dual| =
+    q**n, gives d + d_dual <= n + 2.
+    """
+    if d is not None and not 1 <= d <= n:
+        raise ValueError(f"distance {d} out of range 1..{n}")
+    if d_dual is not None and not 1 <= d_dual <= n + 1:
+        raise ValueError(f"dual distance {d_dual} out of range 1..{n + 1}")
+    if d is not None and d_dual is not None and d + d_dual > n + 2:
+        raise ValueError(
+            f"distances {d} and {d_dual} break the Singleton bound d + d_dual <= {n + 2}"
+        )
+
+
 @dataclass(frozen=True)
 class CodeProfile:
     """Singleton-defect data and the resulting classification label."""
@@ -187,6 +204,7 @@ def classify(code: LinearCode, d: int, d_dual: int | None = None) -> CodeProfile
     0, free), MDR (defect 0), NearMDS / NearMDR (code and dual both defect 1,
     free or not), AMDR (defect 1, dual unknown or deeper), otherwise "other".
     """
+    _check_distances(code.n, d, d_dual)
     defect = code.n + 1 - code.rank - d
     if defect < 0:
         raise ValueError(f"distance {d} violates the Singleton bound for rank {code.rank}")

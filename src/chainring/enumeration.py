@@ -161,23 +161,6 @@ def _check_card(card: int, p: int, s: int, rank: int, free_rank: int) -> None:
         )
 
 
-def _check_distances(n: int, d: int | None, d_dual: int | None) -> None:
-    """Refuse distances that no length-n code and its dual have.
-
-    A nonzero code has 1 <= d <= n; the dual may be zero, of distance n + 1
-    by convention.  The Singleton bound on both sides, with |C| |C_dual| =
-    q**n, gives d + d_dual <= n + 2.
-    """
-    if d is not None and not 1 <= d <= n:
-        raise ValueError(f"distance {d} out of range 1..{n}")
-    if d_dual is not None and not 1 <= d_dual <= n + 1:
-        raise ValueError(f"dual distance {d_dual} out of range 1..{n + 1}")
-    if d is not None and d_dual is not None and d + d_dual > n + 2:
-        raise ValueError(
-            f"distances {d} and {d_dual} break the Singleton bound d + d_dual <= {n + 2}"
-        )
-
-
 @dataclass(frozen=True)
 class WeightDistribution:
     """Exact codeword counts by Hamming weight, with the code's parameters."""

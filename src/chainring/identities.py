@@ -25,11 +25,10 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Mapping
 
-from .code import LinearCode
+from .code import LinearCode, _check_distances
 from .enumeration import (
     WeightDistribution,
     _check_card,
-    _check_distances,
     _check_ring_and_ranks,
     weight_distribution,
 )
@@ -146,6 +145,22 @@ class DoubleCountCheck:
     holds: bool
 
 
+def _check_space(dist: WeightDistribution, n: int, p: int, s: int, what: str) -> None:
+    """Refuse a distribution of a code of another length or over another ring."""
+    if (dist.n, dist.p, dist.s) != (n, p, s):
+        raise ValueError(
+            f"{what} is of length {dist.n} over {dist.p}**{dist.s} elements, "
+            f"not length {n} over {p}**{s}"
+        )
+
+
+def _dual_distance(dual_dist: WeightDistribution) -> int:
+    """Minimum distance of the dual; n + 1 for the zero dual, whose terms beyond
+    A_0 vanish at every nu."""
+    d = dual_dist.min_positive_weight
+    return d if d is not None else dual_dist.n + 1
+
+
 # -- rows -----------------------------------------------------------------------
 # One identity at one nu: the coefficients of A_0..A_n and the exact right side.
 # ``params`` is a context or a distribution; both carry n, p, s and card.
@@ -240,6 +255,7 @@ def check_new_relation(
     the ``required`` flag marks that range, below it the residual is simply
     reported.
     """
+    _check_distances(dist.n, None, d_dual)
     coeffs, rhs = _subset_count_row(dist, nu)
     lhs = sum(c * a for c, a in zip(coeffs, dist.counts))
     required = None if d_dual is None else nu > dist.n - d_dual
@@ -272,6 +288,13 @@ def double_count_check(
     """
     coeffs = _pascal_row(code.n, nu)
     ring = code.ring
+    if distribution is not None:
+        _check_space(distribution, code.n, ring.p, ring.s, "the distribution")
+        if distribution.card != code.cardinality:
+            raise ValueError(
+                f"the distribution counts {distribution.card} words, "
+                f"the code has {code.cardinality}"
+            )
     kernel_side = sum(
         ring.size**nu // profile.module_size(ring.p) * count
         for profile, count in _subset_profiles(code.parity_check(), nu, subset_cap).items()
@@ -303,9 +326,17 @@ def power_moment(
     ``form="pless"`` applies below the dual distance, where the dual terms
     collapse:
         (|C| / p^(s nu)) * C(n, n-nu) (p^s-1)^nu.
-    The form defaults to "full" when a dual distribution is supplied.
+    The form defaults to "full" when a dual distribution is supplied, which
+    must have the length and ring of ``dist`` and |C| |C_dual| = p^(s n) words.
     """
     n = dist.n
+    q = dist.p**dist.s
+    if dual_dist is not None:
+        _check_space(dual_dist, n, dist.p, dist.s, "the dual distribution")
+        if dist.card * dual_dist.card != q**n:
+            raise ValueError(
+                f"|C| |C_dual| = {dist.card} * {dual_dist.card}, not q**n = {q**n}"
+            )
     coeffs, short_rhs = _moment_row(dist, nu)
     if form is None:
         form = "full" if dual_dist is not None else "pless"
@@ -313,7 +344,6 @@ def power_moment(
     if form == "full":
         if dual_dist is None:
             raise ValueError("the full power-moment form needs the dual distribution")
-        q = dist.p**dist.s
         acc = 0
         for j in range(nu + 1):
             t = binomial(n - j, n - nu) * (q - 1) ** (nu - j) * dual_dist.counts[j]
@@ -321,9 +351,7 @@ def power_moment(
         rhs = Fraction(dist.card, q**nu) * acc
     elif form == "pless":
         dual = dual_dist if dual_dist is not None else macwilliams_transform(dist)
-        dd = dual.min_positive_weight
-        if dd is None:
-            dd = n + 1  # zero dual: every term beyond A_0 vanishes at all nu
+        dd = _dual_distance(dual)
         if nu >= dd:
             raise ValueError(f"the short form needs nu < dual distance {dd}, got {nu}")
         rhs = short_rhs

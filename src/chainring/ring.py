@@ -17,13 +17,15 @@ the same valuation and splitting logic (dividing a code by p strips the
 lowest base-p digit in both rings), and gamma**j has code p**j below s; only
 add/neg/mul and unit inversion differ.
 
-Scalar add, neg, mul, valuation, unit part and inverse on rings of at most
-``TABLE_RING_SIZE`` elements read a table, on either backend: one q x q table
-each for add and mul and one of q entries for each of the others, built on
-first use, cached per (p, s, backend) and shared by equal rings.  Larger rings
-compute modulo p**s (integer backend) or digit by digit (polynomial backend).
-``ChainRing.ops`` hands inner loops all six operations at once: the table
-lookups themselves up to ``TABLE_RING_SIZE``, the ring's methods above it.
+Every scalar operation comes from one kit per ring, ``ChainRing.ops``: add,
+mul, neg, valuation, unit part and inverse, built on first use, cached per
+(p, s, backend) and shared by equal rings.  ``_ops`` alone decides how.  On
+rings of at most ``TABLE_RING_SIZE`` elements, on either backend, each
+operation reads a table: one q x q table each for add and mul and one of q
+entries for each of the others.  Larger rings compute modulo p**s (integer
+backend) or digit by digit over ``_digits`` and ``_pack`` (polynomial
+backend), the same two functions ``decode`` and ``encode`` use.  The six
+methods of ``ChainRing`` check their input and call the kit.
 """
 
 from __future__ import annotations
@@ -72,7 +74,6 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
 def _tables(p: int, s: int, backend: str) -> tuple[tuple, ...]:
     """The tables of a ring: ``add[a][b]``, ``neg[a]``, ``mul[a][b]``,
     ``valuation[a]``, ``unit_part[a]`` and ``inverse[a]``.
@@ -114,19 +115,6 @@ def _tables(p: int, s: int, backend: str) -> tuple[tuple, ...]:
     )
 
 
-def _table(index: int) -> cached_property:
-    """Table ``index`` of ``_tables`` for the ring, built on first use; None
-    above TABLE_RING_SIZE.  Not a field: equality, hash and repr see (p, s,
-    backend) only."""
-
-    def build(ring: ChainRing) -> tuple | None:
-        if ring.size > TABLE_RING_SIZE:
-            return None
-        return _tables(ring.p, ring.s, ring.backend)[index]
-
-    return cached_property(build)
-
-
 @dataclass(frozen=True)
 class ChainRing:
     """The chain ring Z/p^s Z (backend "int") or F_p[u]/(u^s) (backend "poly").
@@ -157,8 +145,8 @@ class ChainRing:
             raise ValueError(f"p must be a prime integer, got {self.p!r}")
 
     def __reduce__(self):
-        # The constructor call: cached attributes, the tables among them,
-        # stay out of pickles.
+        # The constructor call: cached attributes, the kit among them, stay
+        # out of pickles.
         return ChainRing, (self.p, self.s, self.backend)
 
     # -- structure ---------------------------------------------------------
@@ -166,13 +154,6 @@ class ChainRing:
     @cached_property
     def size(self) -> int:
         return self.p**self.s
-
-    _add_table = _table(0)
-    _neg_table = _table(1)
-    _mul_table = _table(2)
-    _valuation_table = _table(3)
-    _unit_part_table = _table(4)
-    _inverse_table = _table(5)
 
     @cached_property
     def ops(self) -> tuple:
@@ -194,53 +175,17 @@ class ChainRing:
     # -- scalar arithmetic on codes ----------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        table = self._add_table
-        if table is not None:
-            return table[a][b]
-        if self.backend == "int":
-            return (a + b) % self.size
-        return self._pack([x + y for x, y in zip(self.decode(a), self.decode(b))])
-
-    def neg(self, a: int) -> int:
-        table = self._neg_table
-        if table is not None:
-            return table[a]
-        if self.backend == "int":
-            return (-a) % self.size
-        return self._pack([-x for x in self.decode(a)])
+        return self.ops[0](a, b)
 
     def mul(self, a: int, b: int) -> int:
-        table = self._mul_table
-        if table is not None:
-            return table[a][b]
-        if self.backend == "int":
-            return (a * b) % self.size
-        s = self.s
-        digits_b = self.decode(b)
-        out = [0] * s
-        for i, x in enumerate(self.decode(a)):
-            if x:
-                for j in range(s - i):
-                    out[i + j] += x * digits_b[j]
-        return self._pack(out)
+        return self.ops[1](a, b)
+
+    def neg(self, a: int) -> int:
+        return self.ops[2](a)
 
     def valuation(self, a: int) -> int:
-        """Largest j with gamma**j dividing a; s for a == 0.
-
-        Works for both backends: stripping the lowest base-p digit divides by
-        p in the integer ring and by u in the polynomial ring.
-        """
-        table = self._valuation_table
-        if table is not None:
-            return table[a]
-        if a == 0:
-            return self.s
-        v = 0
-        p = self.p
-        while a % p == 0:
-            a //= p
-            v += 1
-        return v
+        """Largest j with gamma**j dividing a; s for a == 0."""
+        return self.ops[3](a)
 
     def split(self, a: int, j: int) -> tuple[int, int]:
         """Decompose a == low + gamma**j * high.
@@ -255,32 +200,13 @@ class ChainRing:
         """The unit w with a == gamma**valuation(a) * w; undefined for zero."""
         if a == 0:
             raise ValueError("zero has no unit part")
-        table = self._unit_part_table
-        if table is not None:
-            return table[a]
-        return a // self.p ** self.valuation(a)
+        return self.ops[4](a)
 
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a unit."""
         if a % self.p == 0:  # gamma divides a: its lowest base-p digit is zero
             raise ValueError(f"{self.decode(a)!r} is not a unit in {self}")
-        table = self._inverse_table
-        if table is not None:
-            return table[a]
-        if self.backend == "int":
-            return pow(a, -1, self.size)
-        # Triangular solve for b with a*b == 1: the constant coefficient is
-        # inverted in F_p, higher coefficients follow one at a time.
-        p, s = self.p, self.s
-        da = self.decode(a)
-        inv0 = pow(da[0], p - 2, p)
-        out = [inv0]
-        for k in range(1, s):
-            acc = 0
-            for i in range(1, k + 1):
-                acc += da[i] * out[k - i]
-            out.append(-inv0 * acc % p)
-        return self._pack(out)
+        return self.ops[5](a)
 
     # -- encoding ------------------------------------------------------------
 
@@ -302,27 +228,14 @@ class ChainRing:
         if isinstance(value, (list, tuple)):
             if len(value) > self.s:
                 raise ValueError(f"too many coefficients for {self}: {value!r}")
-            return self._pack([int(c) for c in value])
+            return _pack([int(c) for c in value], self.p)
         raise TypeError(f"cannot encode {value!r} as an element of {self}")
 
     def decode(self, code: int):
         """Canonical value: the representative int, or the coefficient tuple."""
         if self.backend == "int":
             return code
-        p = self.p
-        out = []
-        for _ in range(self.s):
-            out.append(code % p)
-            code //= p
-        return tuple(out)
-
-    def _pack(self, digits: Sequence[int]) -> int:
-        """Code of a coefficient list, lowest degree first, each reduced mod p."""
-        p = self.p
-        code = 0
-        for d in reversed(digits):
-            code = code * p + d % p
-        return code
+        return _digits(code, self.p, self.s)
 
     def __str__(self) -> str:
         if self.backend == "int":
@@ -330,21 +243,91 @@ class ChainRing:
         return f"F_{self.p}[u]/(u^{self.s})"
 
 
+def _digits(code: int, p: int, s: int) -> tuple[int, ...]:
+    """The s base-p digits of a code, lowest first: a poly element's coefficients."""
+    out = []
+    for _ in range(s):
+        out.append(code % p)
+        code //= p
+    return tuple(out)
+
+
+def _pack(digits: Sequence[int], p: int) -> int:
+    """Code of a coefficient list, lowest degree first, each reduced mod p."""
+    code = 0
+    for d in reversed(digits):
+        code = code * p + d % p
+    return code
+
+
 @lru_cache(maxsize=8)
 def _ops(p: int, s: int, backend: str) -> tuple:
     """The scalar kit of a ring, shared by equal rings: table lookups up to
-    TABLE_RING_SIZE, the methods of one equal ring above it (bound to that
-    ring, so a ring's cached kit never refers back to the ring itself).  The
-    lookups check nothing: unit_part must get a nonzero code, inverse a unit."""
-    if p**s > TABLE_RING_SIZE:
-        ring = ChainRing(p, s, backend)
-        return ring.add, ring.mul, ring.neg, ring.valuation, ring.unit_part, ring.inverse
-    add, neg, mul, valuation, unit_part, inverse = _tables(p, s, backend)
-    return (
-        lambda a, b: add[a][b],
-        lambda a, b: mul[a][b],
-        neg.__getitem__,
-        valuation.__getitem__,
-        unit_part.__getitem__,
-        inverse.__getitem__,
-    )
+    TABLE_RING_SIZE, arithmetic above it.  Its functions close over p, s and
+    the tables, never over a ring.  They check nothing: unit_part must get a
+    nonzero code, inverse a unit."""
+    q = p**s
+    if q <= TABLE_RING_SIZE:
+        add, neg, mul, valuation, unit_part, inverse = _tables(p, s, backend)
+        return (
+            lambda a, b: add[a][b],
+            lambda a, b: mul[a][b],
+            neg.__getitem__,
+            valuation.__getitem__,
+            unit_part.__getitem__,
+            inverse.__getitem__,
+        )
+
+    # Stripping the lowest base-p digit divides by p in Z/p^s and by u in
+    # F_p[u]/(u^s), so valuation and unit part serve both backends.
+    def valuation(a: int) -> int:
+        if a == 0:
+            return s
+        v = 0
+        while a % p == 0:
+            a //= p
+            v += 1
+        return v
+
+    def unit_part(a: int) -> int:
+        return a // p ** valuation(a)
+
+    if backend == "int":
+        return (
+            lambda a, b: (a + b) % q,
+            lambda a, b: a * b % q,
+            lambda a: -a % q,
+            valuation,
+            unit_part,
+            lambda a: pow(a, -1, q),
+        )
+
+    def add(a: int, b: int) -> int:
+        return _pack([x + y for x, y in zip(_digits(a, p, s), _digits(b, p, s))], p)
+
+    def neg(a: int) -> int:
+        return _pack([-x for x in _digits(a, p, s)], p)
+
+    def mul(a: int, b: int) -> int:
+        digits_b = _digits(b, p, s)
+        out = [0] * s
+        for i, x in enumerate(_digits(a, p, s)):
+            if x:
+                for j in range(s - i):
+                    out[i + j] += x * digits_b[j]
+        return _pack(out, p)
+
+    def inverse(a: int) -> int:
+        # Triangular solve for b with a*b == 1: the constant coefficient is
+        # inverted in F_p, higher coefficients follow one at a time.
+        da = _digits(a, p, s)
+        inv0 = pow(da[0], p - 2, p)
+        out = [inv0]
+        for k in range(1, s):
+            acc = 0
+            for i in range(1, k + 1):
+                acc += da[i] * out[k - i]
+            out.append(-inv0 * acc % p)
+        return _pack(out, p)
+
+    return add, mul, neg, valuation, unit_part, inverse

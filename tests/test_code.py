@@ -257,6 +257,12 @@ class TestClassify:
         with pytest.raises(ValueError, match="dual"):
             classify(code, d=1, d_dual=3)
 
+    def test_distance_out_of_range_rejected(self):
+        # d = 0 gave a defect above 1: the label "other".
+        code = code_from_generators(Z4, 3, REFERENCE_Z4)
+        with pytest.raises(ValueError, match=r"^distance 0 out of range 1..3$"):
+            classify(code, 0)
+
     def test_near_mdr_when_not_free(self):
         # type (1,1) over Z/4, defect and dual defect both 1
         code = code_from_generators(Z4, 3, [(1, 1, 1), (0, 2, 2)])

@@ -302,6 +302,56 @@ class TestPowerMoments:
                 assert short.holds, (entry.label, nu)
 
 
+class TestParametersOfAnotherCodeRefused:
+    """A distribution, dual distribution or distance that belongs to another
+    code: of another length, ring or size."""
+
+    Z4_N4 = [(1, 0, 1, 1), (0, 1, 1, 2)]
+
+    def test_double_count_refuses_a_distribution_of_another_length(self):
+        # zip stopped at the shorter counts: holds=False.
+        code = code_from_generators(Z4, 4, self.Z4_N4)
+        other = weight_distribution(code_from_generators(Z4, 5, [(1, 0, 1, 1, 1), (0, 1, 1, 2, 3)]))
+        with pytest.raises(
+            ValueError,
+            match=r"^the distribution is of length 5 over 2\*\*2 elements, not length 4 over 2\*\*2$",
+        ):
+            double_count_check(code, 4, distribution=other)
+
+    def test_double_count_refuses_a_distribution_over_another_ring(self):
+        # At nu = 0 both sides are 1 whatever the ring: holds=True.
+        code = code_from_generators(Z4, 4, self.Z4_N4)
+        other = weight_distribution(code_from_generators(Z9, 4, self.Z4_N4))
+        with pytest.raises(ValueError, match=r"over 3\*\*2 elements, not length 4 over 2\*\*2$"):
+            double_count_check(code, 0, distribution=other)
+
+    def test_double_count_refuses_a_distribution_of_another_size(self):
+        # holds=False, as if the identity failed.
+        code = code_from_generators(Z4, 4, self.Z4_N4)
+        other = weight_distribution(code_from_generators(Z4, 4, self.Z4_N4[:1]))
+        with pytest.raises(ValueError, match="^the distribution counts 4 words, the code has 16$"):
+            double_count_check(code, 4, distribution=other)
+
+    def test_power_moment_refuses_a_dual_of_another_length(self):
+        # dual_dist.counts[nu] past its end: IndexError.
+        dist = c1_dist()
+        other = macwilliams_transform(reference_dist())
+        with pytest.raises(ValueError, match="^the dual distribution is of length 3 over 2"):
+            power_moment(dist, other, nu=dist.n)
+
+    def test_power_moment_refuses_a_dual_of_another_size(self):
+        # holds=True at nu = 1, from a dual of 16 words where 4 belong.
+        dist = reference_dist()
+        other = weight_distribution(code_from_generators(Z4, 3, [(1, 1, 1), (0, 1, 2)]))
+        with pytest.raises(ValueError, match=r"^\|C\| \|C_dual\| = 16 \* 16, not q\*\*n = 64$"):
+            power_moment(dist, other, nu=1)
+
+    def test_relation_refuses_a_dual_distance_past_the_length(self):
+        # Read as nu > n - 40: required=True, holds=False.
+        with pytest.raises(ValueError, match=r"^dual distance 40 out of range 1..5$"):
+            check_new_relation(c1_dist(), 2, d_dual=40)
+
+
 class TestIdentityContext:
     def test_from_profile_derives_consistent_cardinality(self):
         ctx = IdentityContext.from_profile(3, 2, 2, (1, 2), d=1, d_dual=1)

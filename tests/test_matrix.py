@@ -398,8 +398,8 @@ class TestScanAtTheBenchmarkShape:
         assert seen["swap"] and not seen["reshape"]
 
 
-# Rings above TABLE_RING_SIZE, whose ring.ops are the ring's own methods;
-# every ring of SCAN_RINGS reads tables.
+# Rings above TABLE_RING_SIZE, whose ring.ops compute modulo p**s or digit by
+# digit; every ring of SCAN_RINGS reads tables.
 METHOD_SCAN_RINGS = [Z125, ChainRing(5, 3, "poly")]
 
 

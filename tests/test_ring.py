@@ -10,6 +10,7 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, strategies as st
 
+import chainring.ring
 from chainring import ChainRing
 from chainring.ring import BACKENDS, TABLE_RING_SIZE
 from oracles import (
@@ -258,10 +259,31 @@ def _rings(low: int, high: int) -> list[ChainRing]:
     ]
 
 
-# Rings of at most TABLE_RING_SIZE elements read add, neg and mul from tables.
-# Sampled: every ring with 64 < q <= 2**8, some with tables and most without,
-# and 2**9 on both backends.
+# Rings of at most TABLE_RING_SIZE elements read their scalar operations from
+# tables.  Sampled: every ring with 64 < q <= 2**8, some with tables and most
+# without, and 2**9 on both backends.
 SAMPLED = _rings(64, 1 << 8) + [ChainRing(2, 9, backend) for backend in BACKENDS]
+
+
+def _one_per_valuation(ring, rng):
+    """A random multiple of gamma**j for each j = 0..s, so units, non-units
+    and zero all appear."""
+    return [ring.p**j * rng.randrange(ring.size) % ring.size for j in range(ring.s + 1)]
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The (p, s, backend) of every table build, from an empty kit cache on."""
+    builds = []
+    build = chainring.ring._tables
+
+    def spy(p, s, backend):
+        builds.append((p, s, backend))
+        return build(p, s, backend)
+
+    monkeypatch.setattr(chainring.ring, "_tables", spy)
+    chainring.ring._ops.cache_clear()
+    return builds
 
 
 class TestTables:
@@ -297,27 +319,36 @@ class TestTables:
             assert ring.neg(a) == oracle_neg(ring, a)
             assert ring.add(a, b) == oracle_add(ring, a, b)
             assert ring.mul(a, b) == oracle_mul(ring, a, b)
+        for a in _one_per_valuation(ring, rng):
+            assert ring.valuation(a) == oracle_valuation(ring, a), a
+            if a:
+                assert ring.unit_part(a) == oracle_unit_part(ring, a), a
+            if a % ring.p:
+                assert oracle_mul(ring, a, ring.inverse(a)) == 1, a
+            else:
+                with pytest.raises(ValueError, match="is not a unit in"):
+                    ring.inverse(a)
+        with pytest.raises(ValueError, match="zero has no unit part"):
+            ring.unit_part(0)
 
-    def test_tables_stop_at_the_bound(self):
-        for ring in _rings(1, 1 << 8):
-            tables = (
-                ring._add_table,
-                ring._neg_table,
-                ring._mul_table,
-                ring._valuation_table,
-                ring._unit_part_table,
-                ring._inverse_table,
-            )
-            assert all((t is not None) == (ring.size <= TABLE_RING_SIZE) for t in tables)
+    def test_tables_stop_at_the_bound(self, table_builds):
+        rings = _rings(1, 1 << 8)
+        for ring in rings:
+            ring.ops
+        assert table_builds == [
+            (ring.p, ring.s, ring.backend) for ring in rings if ring.size <= TABLE_RING_SIZE
+        ]
 
-    def test_tables_are_built_on_first_use(self):
+    def test_tables_are_built_on_first_use(self, table_builds):
         ring = ChainRing(3, 4, "poly")
-        assert "_mul_table" not in vars(ring)
+        assert table_builds == [] and "ops" not in vars(ring)
         assert ring.mul(3, 27) == 0
-        assert "_mul_table" in vars(ring)
+        assert table_builds == [(3, 4, "poly")] and "ops" in vars(ring)
 
-    def test_equal_rings_share_their_tables(self):
-        assert ChainRing(3, 4, "poly")._mul_table is ChainRing(3, 4, "poly")._mul_table
+    def test_equal_rings_share_their_tables(self, table_builds):
+        kits = [ChainRing(3, 4, "poly").ops for _ in range(3)]
+        assert kits[0] is kits[1] is kits[2]
+        assert table_builds == [(3, 4, "poly")]
 
     @pytest.mark.parametrize(
         "ring", [Z4, F3U2, ChainRing(3, 4, "poly"), ChainRing(2, 8, "poly"), ChainRing(2, 9)], ids=str
@@ -328,7 +359,7 @@ class TestTables:
         assert ring == ChainRing(*key) and hash(ring) == hash(key)
         assert repr(ring) == f"ChainRing(p={ring.p}, s={ring.s}, backend={ring.backend!r})"
         top = ring.size - 1
-        product = ring.mul(top, top)  # builds the tables, if the ring has any
+        product = ring.mul(top, top)  # builds the kit, and the tables if the ring has any
         data = pickle.dumps(ring)
         assert len(data) < 100  # cached attributes stay out of the pickle
         back = pickle.loads(data)
@@ -337,41 +368,40 @@ class TestTables:
 
 
 class TestOps:
-    """``ring.ops`` is the six scalar operations, bound once for inner loops."""
+    """``ring.ops`` is the six scalar operations, bound once for inner loops
+    and checked here against the oracles: table lookups up to
+    TABLE_RING_SIZE, arithmetic above it."""
 
     @staticmethod
-    def assert_ops_agree(ring, pairs):
+    def assert_kit_matches_oracles(ring, pairs, elements):
         add, mul, neg, valuation, unit_part, inverse = ring.ops
         for a, b in pairs:
-            assert add(a, b) == ring.add(a, b), (a, b)
-            assert mul(a, b) == ring.mul(a, b), (a, b)
-        for a in {a for pair in pairs for a in pair}:
-            assert neg(a) == ring.neg(a), a
-            assert valuation(a) == ring.valuation(a), a
+            assert add(a, b) == oracle_add(ring, a, b), (a, b)
+            assert mul(a, b) == oracle_mul(ring, a, b), (a, b)
+        for a in elements:
+            assert neg(a) == oracle_neg(ring, a), a
+            assert valuation(a) == oracle_valuation(ring, a), a
             if a:
-                assert unit_part(a) == ring.unit_part(a), a
+                assert unit_part(a) == oracle_unit_part(ring, a), a
             if a % ring.p:
-                assert inverse(a) == ring.inverse(a), a
+                assert oracle_mul(ring, a, inverse(a)) == 1, a
 
     # Every table ring, Z/81 and F_3[u]/(u^4) at the bound among them.
     @pytest.mark.parametrize("ring", _rings(1, TABLE_RING_SIZE), ids=str)
     def test_table_kit_agrees_on_every_pair(self, ring):
         codes = range(ring.size)
-        self.assert_ops_agree(ring, [(a, b) for a in codes for b in codes])
+        self.assert_kit_matches_oracles(ring, [(a, b) for a in codes for b in codes], codes)
         assert not any(isinstance(getattr(f, "__self__", None), ChainRing) for f in ring.ops)
 
     @pytest.mark.parametrize(
         "ring", [Z125, ChainRing(5, 3, "poly"), ChainRing(257, 2)], ids=str
     )
-    def test_method_kit_agrees_on_sampled_pairs(self, ring):
+    def test_arithmetic_kit_agrees_on_sampled_pairs(self, ring):
         rng = random.Random(str(ring))
         pairs = [(rng.randrange(ring.size), rng.randrange(ring.size)) for _ in range(300)]
         pairs += [(0, 0), (1, ring.size - 1), (ring.p, ring.p ** (ring.s - 1))]
-        self.assert_ops_agree(ring, pairs)
-        methods = [ChainRing.add, ChainRing.mul, ChainRing.neg, ChainRing.valuation,
-                   ChainRing.unit_part, ChainRing.inverse]
-        assert [f.__func__ for f in ring.ops] == methods
-        assert all(f.__self__ == ring for f in ring.ops)
+        elements = {1, ring.size - 1, ring.p ** (ring.s - 1), *_one_per_valuation(ring, rng)}
+        self.assert_kit_matches_oracles(ring, pairs, elements)
 
     @pytest.mark.parametrize("key", [(3, 4, "poly"), (257, 2, "int")], ids=str)
     def test_equal_rings_share_one_kit_that_stays_out_of_pickles(self, key):
