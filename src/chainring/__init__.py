@@ -16,13 +16,11 @@ from .code import (
 from .enumeration import (
     WeightDistribution,
     enumeration_cap,
-    min_distance,
     render_enumerator,
     weight_distribution,
 )
 from .errors import CapExceededError, InvariantError
 from .identities import (
-    DoubleCountCheck,
     IdentityContext,
     RelationCheck,
     check_new_relation,
@@ -49,7 +47,6 @@ __all__ = [
     "CapExceededError",
     "ChainRing",
     "CodeProfile",
-    "DoubleCountCheck",
     "IdentityContext",
     "InvariantError",
     "LinearCode",
@@ -68,7 +65,6 @@ __all__ = [
     "kernel_code",
     "macwilliams_transform",
     "mds_distribution",
-    "min_distance",
     "new_relation_report",
     "power_moment",
     "render_enumerator",

@@ -22,6 +22,7 @@ import os
 import random as _random
 import sys
 from contextlib import suppress
+from dataclasses import asdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -48,7 +49,7 @@ from .enumeration import (
 from .errors import CapExceededError, InvariantError
 from .identities import (
     IdentityContext,
-    _dual_distance,
+    RelationCheck,
     check_new_relation,
     double_count_check,
     macwilliams_transform,
@@ -76,7 +77,7 @@ def _load_document(path: str) -> CodeDocument:
     return parse_code_document(_read_input(path))
 
 
-def _frac_str(value: Fraction | int) -> str:
+def _frac_str(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -195,8 +196,8 @@ def _cmd_wdist(args) -> tuple[Any, int]:
         dist = weight_distribution(code)
     elif args.method == "solve":
         known = _parse_known(args.known)  # refused before C_dual is enumerated
-        dual_dist = weight_distribution(dual(code))
-        ctx = IdentityContext.from_code(code, d=args.d, d_dual=_dual_distance(dual_dist))
+        d_dual = weight_distribution(dual(code)).distance
+        ctx = IdentityContext.from_code(code, d=args.d, d_dual=d_dual)
         dist = solve_distribution(ctx, known)
     else:  # mds
         if not code.is_free:
@@ -249,40 +250,30 @@ def _cmd_mac(args) -> tuple[Any, int]:
 def _cmd_classify(args) -> tuple[Any, int]:
     doc = _load_document(args.file)
     code = doc.to_code()
-    dist = weight_distribution(code)
-    d = dist.min_positive_weight
-    if d is None:
+    d = weight_distribution(code).distance
+    if d > code.n:
         raise CodeFileError("the zero code has no minimum distance to classify")
-    dual_dist = weight_distribution(dual(code))
-    d_dual = dual_dist.min_positive_weight
-    profile = classify(code, d, d_dual)
+    profile = classify(code, d, weight_distribution(dual(code)).distance)
     return (
         {
             "n": code.n,
             "rank": code.rank,
             "free_rank": code.free_rank,
             "cardinality": str(code.cardinality),
-            "d": profile.d,
-            "d_dual": profile.d_dual,
-            "defect": profile.defect,
-            "dual_defect": profile.dual_defect,
-            "sigma": profile.sigma,
-            "label": profile.label,
+            **asdict(profile),
         },
         0,
     )
 
 
-def _relation(
-    nu: int, lhs: int, rhs: Fraction | int, holds: bool, required: bool
-) -> dict[str, Any]:
+def _relation(result: RelationCheck) -> dict[str, Any]:
     return {
-        "nu": nu,
-        "lhs": str(lhs),
-        "rhs": _frac_str(rhs),
-        "difference": _frac_str(lhs - rhs),
-        "holds": holds,
-        "required": required,
+        "nu": result.nu,
+        "lhs": str(result.lhs),
+        "rhs": _frac_str(result.rhs),
+        "difference": _frac_str(result.lhs - result.rhs),
+        "holds": result.holds,
+        "required": result.required,
     }
 
 
@@ -316,7 +307,7 @@ def _cmd_check(args) -> tuple[Any, int]:
         dist = weight_distribution(code)
     if identity != "doublecount":
         dual_dist = weight_distribution(dual(code))
-        d_dual = report["d_dual"] = _dual_distance(dual_dist)
+        d_dual = report["d_dual"] = dual_dist.distance
     first = 1 if identity == "subtypes" else 0
     last = min(d_dual - 1, n) if identity == "pless" else n
 
@@ -354,13 +345,12 @@ def _cmd_check(args) -> tuple[Any, int]:
             }
         if identity == "doublecount":
             result = double_count_check(code, nu, distribution=dist, subset_cap=cap)
-            return _relation(nu, result.kernel_side, result.codeword_side, result.holds, True)
-        if identity == "new":
-            result = check_new_relation(dist, nu, d_dual=d_dual)
-            return _relation(nu, result.lhs, result.rhs, result.holds, result.required)
-        form = "pless" if identity == "pless" else "full"
-        result = power_moment(dist, dual_dist, nu=nu, form=form)
-        return _relation(nu, result.lhs, result.rhs, result.holds, True)
+        elif identity == "new":
+            result = check_new_relation(dist, nu, d_dual)
+        else:
+            form = "pless" if identity == "pless" else "full"
+            result = power_moment(dist, dual_dist, nu=nu, form=form)
+        return _relation(result)
 
     results = [evaluate(nu) for nu in nus]
     all_required_hold = all(result["holds"] for result in results if result["required"])

@@ -171,7 +171,7 @@ def _check_distances(n: int, d: int | None, d_dual: int | None) -> None:
     """Refuse distances that no length-n code and its dual have.
 
     A nonzero code has 1 <= d <= n; the dual may be zero, of distance n + 1
-    by convention.  The Singleton bound on both sides, with |C| |C_dual| =
+    (``WeightDistribution.distance``).  The Singleton bound on both sides, with |C| |C_dual| =
     q**n, gives d + d_dual <= n + 2.
     """
     if d is not None and not 1 <= d <= n:
@@ -189,34 +189,29 @@ class CodeProfile:
     """Singleton-defect data and the resulting classification label."""
 
     d: int
+    d_dual: int
     defect: int
-    d_dual: int | None = None
-    dual_defect: int | None = None
-    sigma: int | None = None
-    label: str = "other"
+    dual_defect: int
+    sigma: int
+    label: str
 
 
-def classify(code: LinearCode, d: int, d_dual: int | None = None) -> CodeProfile:
+def classify(code: LinearCode, d: int, d_dual: int) -> CodeProfile:
     """Classify by Singleton defects, given true minimum distances.
 
-    The defect is n + 1 - K - d; dual data is optional (the dual of the full
-    space has no minimum distance).  Labels, most specific first: MDS (defect
-    0, free), MDR (defect 0), NearMDS / NearMDR (code and dual both defect 1,
-    free or not), AMDR (defect 1, dual unknown or deeper), otherwise "other".
+    The defect is n + 1 - K - d and the dual defect k0 + 1 - d_dual; the zero
+    dual of the full space has d_dual = n + 1, so its defect is 0.  Labels,
+    most specific first: MDS (defect 0, free), MDR (defect 0), NearMDS /
+    NearMDR (code and dual both defect 1, free or not), AMDR (defect 1, any
+    other dual defect), otherwise "other".
     """
     _check_distances(code.n, d, d_dual)
     defect = code.n + 1 - code.rank - d
     if defect < 0:
         raise ValueError(f"distance {d} violates the Singleton bound for rank {code.rank}")
-    dual_defect = None
-    sigma = None
-    if d_dual is not None:
-        dual_defect = code.free_rank + 1 - d_dual
-        if dual_defect < 0:
-            raise ValueError(
-                f"dual distance {d_dual} violates the Singleton bound for the dual"
-            )
-        sigma = defect + dual_defect
+    dual_defect = code.free_rank + 1 - d_dual
+    if dual_defect < 0:
+        raise ValueError(f"dual distance {d_dual} violates the Singleton bound for the dual")
     if defect == 0:
         label = "MDS" if code.is_free else "MDR"
     elif defect == 1:
@@ -226,6 +221,7 @@ def classify(code: LinearCode, d: int, d_dual: int | None = None) -> CodeProfile
             label = "AMDR"
     else:
         label = "other"
+    sigma = defect + dual_defect
     return CodeProfile(
-        d=d, defect=defect, d_dual=d_dual, dual_defect=dual_defect, sigma=sigma, label=label
+        d=d, d_dual=d_dual, defect=defect, dual_defect=dual_defect, sigma=sigma, label=label
     )

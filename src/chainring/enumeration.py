@@ -106,7 +106,6 @@ __all__ = [
     "ENUMERATION_CAP_ENV",
     "WeightDistribution",
     "enumeration_cap",
-    "min_distance",
     "render_enumerator",
     "weight_distribution",
 ]
@@ -187,11 +186,10 @@ class WeightDistribution:
             )
 
     @property
-    def min_positive_weight(self) -> int | None:
-        for i in range(1, self.n + 1):
-            if self.counts[i]:
-                return i
-        return None
+    def distance(self) -> int:
+        """Least weight of a nonzero word; n + 1 for the zero code, whose terms
+        beyond A_0 vanish in every identity."""
+        return next((w for w in range(1, self.n + 1) if self.counts[w]), self.n + 1)
 
 
 def render_enumerator(dist: WeightDistribution) -> str:
@@ -343,12 +341,6 @@ class _MessageSpace:
             position += len(negs)
 
 
-def _check_cap(total: int, cap: int | None) -> None:
-    limit = cap if cap is not None else enumeration_cap()
-    if total > limit:
-        raise CapExceededError(f"code has {total} words, above the enumeration cap {limit}")
-
-
 def _histogram(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
     """Counts of weights 0..n over a stream of counter arrays of ``_narrowest(n + 1)``.
 
@@ -382,9 +374,13 @@ def _histogram(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
     return hist + pairs.sum(axis=0) + pairs.sum(axis=1)
 
 
-def weight_distribution(code: LinearCode, *, cap: int | None = None) -> WeightDistribution:
-    """Exact Hamming-weight histogram of all codewords."""
-    _check_cap(code.cardinality, cap)
+def weight_distribution(code: LinearCode) -> WeightDistribution:
+    """Exact Hamming-weight histogram of all codewords, under ``enumeration_cap()``."""
+    cap = enumeration_cap()
+    if code.cardinality > cap:
+        raise CapExceededError(
+            f"code has {code.cardinality} words, above the enumeration cap {cap}"
+        )
     space = _MessageSpace(code)
     if space.total != code.cardinality:
         raise InvariantError("message space size differs from the cardinality formula")
@@ -399,12 +395,3 @@ def weight_distribution(code: LinearCode, *, cap: int | None = None) -> WeightDi
         rank=code.rank,
         free_rank=code.free_rank,
     )
-
-
-def min_distance(code: LinearCode, *, cap: int | None = None) -> int:
-    """Least weight of a nonzero codeword."""
-    dist = weight_distribution(code, cap=cap)
-    d = dist.min_positive_weight
-    if d is None:
-        raise ValueError("the zero code has no nonzero codeword")
-    return d

@@ -35,7 +35,6 @@ from .enumeration import (
 from .matrix import DEFAULT_SUBSET_CAP, TypeProfile, _subset_profiles
 
 __all__ = [
-    "DoubleCountCheck",
     "IdentityContext",
     "RelationCheck",
     "binomial",
@@ -126,23 +125,14 @@ class IdentityContext:
 
 @dataclass(frozen=True)
 class RelationCheck:
-    """One evaluated identity: integer left side, exact rational right side."""
+    """One evaluated identity: integer left side, exact rational right side,
+    and whether the identity is guaranteed at this nu."""
 
     nu: int
     lhs: int
     rhs: Fraction
     holds: bool
-    required: bool | None = None
-
-
-@dataclass(frozen=True)
-class DoubleCountCheck:
-    """Two independent counts of the same set; must agree for every nu."""
-
-    nu: int
-    kernel_side: int
-    codeword_side: int
-    holds: bool
+    required: bool
 
 
 def _check_space(dist: WeightDistribution, n: int, p: int, s: int, what: str) -> None:
@@ -152,13 +142,6 @@ def _check_space(dist: WeightDistribution, n: int, p: int, s: int, what: str) ->
             f"{what} is of length {dist.n} over {dist.p}**{dist.s} elements, "
             f"not length {n} over {p}**{s}"
         )
-
-
-def _dual_distance(dual_dist: WeightDistribution) -> int:
-    """Minimum distance of the dual; n + 1 for the zero dual, whose terms beyond
-    A_0 vanish at every nu."""
-    d = dual_dist.min_positive_weight
-    return d if d is not None else dual_dist.n + 1
 
 
 # -- rows -----------------------------------------------------------------------
@@ -246,26 +229,21 @@ def macwilliams_transform(dist: WeightDistribution) -> WeightDistribution:
 # -- subset-count relation -------------------------------------------------------
 
 
-def check_new_relation(
-    dist: WeightDistribution, nu: int, d_dual: int | None = None
-) -> RelationCheck:
+def check_new_relation(dist: WeightDistribution, nu: int, d_dual: int) -> RelationCheck:
     """Evaluate sum_l C(n-l, nu-l) A_l against C(n, nu) |C| / p^(s(n-nu)).
 
-    The relation is guaranteed only for nu > n - d_dual; when d_dual is given
-    the ``required`` flag marks that range, below it the residual is simply
-    reported.
+    The relation is guaranteed only for nu > n - d_dual, which the
+    ``required`` flag marks; below it the residual is simply reported.
     """
     _check_distances(dist.n, None, d_dual)
     coeffs, rhs = _subset_count_row(dist, nu)
     lhs = sum(c * a for c, a in zip(coeffs, dist.counts))
-    required = None if d_dual is None else nu > dist.n - d_dual
+    required = nu > dist.n - d_dual
     return RelationCheck(nu=nu, lhs=lhs, rhs=rhs, holds=lhs == rhs, required=required)
 
 
-def new_relation_report(dist: WeightDistribution, d_dual: int | None) -> list[RelationCheck]:
+def new_relation_report(dist: WeightDistribution, d_dual: int) -> list[RelationCheck]:
     """The relation at every nu, with the guaranteed range flagged."""
-    if d_dual is None:
-        raise ValueError("threshold validation needs the dual minimum distance")
     return [check_new_relation(dist, nu, d_dual) for nu in range(dist.n + 1)]
 
 
@@ -275,12 +253,12 @@ def double_count_check(
     *,
     distribution: WeightDistribution | None = None,
     subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> DoubleCountCheck:
+) -> RelationCheck:
     """Count kernel vectors of nu-column submatrices of H in two ways.
 
-    Side one sums |ker H_I| over all column subsets I of size nu; side two is
-    the binomial-weighted sum over the weight distribution.  Equality holds
-    for every nu, with no threshold.
+    The left side sums |ker H_I| over all column subsets I of size nu; the
+    right side is the binomial-weighted sum over the weight distribution.
+    Equality holds for every nu, with no threshold, so it is always required.
 
     Chain rings are Frobenius, so the column space of H_I has the type of its
     row space and |ker H_I| = q^nu / |rowspace(H_I)| is read off the type of
@@ -300,13 +278,9 @@ def double_count_check(
         for profile, count in _subset_profiles(code.parity_check(), nu, subset_cap).items()
     )
     dist = distribution if distribution is not None else weight_distribution(code)
-    codeword_side = sum(c * a for c, a in zip(coeffs, dist.counts))
-    return DoubleCountCheck(
-        nu=nu,
-        kernel_side=kernel_side,
-        codeword_side=codeword_side,
-        holds=kernel_side == codeword_side,
-    )
+    codeword_side = Fraction(sum(c * a for c, a in zip(coeffs, dist.counts)))
+    holds = kernel_side == codeword_side
+    return RelationCheck(nu=nu, lhs=kernel_side, rhs=codeword_side, holds=holds, required=True)
 
 
 # -- power moments ---------------------------------------------------------------
@@ -351,13 +325,12 @@ def power_moment(
         rhs = Fraction(dist.card, q**nu) * acc
     elif form == "pless":
         dual = dual_dist if dual_dist is not None else macwilliams_transform(dist)
-        dd = _dual_distance(dual)
-        if nu >= dd:
-            raise ValueError(f"the short form needs nu < dual distance {dd}, got {nu}")
+        if nu >= dual.distance:
+            raise ValueError(f"the short form needs nu < dual distance {dual.distance}, got {nu}")
         rhs = short_rhs
     else:
         raise ValueError(f"unknown form {form!r}; expected 'full' or 'pless'")
-    return RelationCheck(nu=nu, lhs=lhs, rhs=rhs, holds=lhs == rhs)
+    return RelationCheck(nu=nu, lhs=lhs, rhs=rhs, holds=lhs == rhs, required=True)
 
 
 # -- solvers --------------------------------------------------------------------

@@ -46,11 +46,11 @@ class CorpusEntry:
 
     @property
     def d(self) -> int:
-        return self.dist.min_positive_weight
+        return self.dist.distance
 
     @property
     def d_dual(self) -> int:
-        return self.dual_dist.min_positive_weight
+        return self.dual_dist.distance
 
     @property
     def defect(self) -> int:

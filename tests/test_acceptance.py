@@ -21,7 +21,6 @@ from chainring import (
     dual,
     macwilliams_transform,
     mds_distribution,
-    min_distance,
     new_relation_report,
     power_moment,
     solve_distribution,
@@ -75,7 +74,7 @@ def test_criterion_02_reference_code_over_z4():
         failures.append(("type", code.profile.counts))
     if code.cardinality != 16:
         failures.append(("cardinality", code.cardinality))
-    d = min_distance(code)
+    d = weight_distribution(code).distance
     if d != 1:
         failures.append(("d", d))
     if classify(code, d, 1).label != "MDR":
@@ -85,7 +84,7 @@ def test_criterion_02_reference_code_over_z4():
     got_dual = span_set(Z4, dual_code.generator_matrix().rows, 3)
     if got_dual != expected_dual:
         failures.append(("dual span", sorted(got_dual)))
-    d_dual = min_distance(dual_code)
+    d_dual = weight_distribution(dual_code).distance
     if d_dual != 1:
         failures.append(("d_dual", d_dual))
     report(2, "reference code over Z/4", failures)
@@ -211,7 +210,7 @@ def test_criterion_08_mds_closed_form():
                 ]
                 code = code_from_generators(Z4, n, rows)
                 dist = weight_distribution(code)
-                if dist.min_positive_weight != d_target:
+                if dist.distance != d_target:
                     continue
                 found += 1
                 closed = mds_distribution(n, k, 2, 2)

@@ -19,7 +19,7 @@ import chainring.code
 from chainring import ChainRing, code_from_generators, dual, weight_distribution
 from chainring.cli import main, random_generator_rows
 from chainring.codefile import CodeDocument
-from chainring.enumeration import DEFAULT_ENUMERATION_CAP, ENUMERATION_CAP_ENV
+from chainring.enumeration import ENUMERATION_CAP_ENV
 from chainring.errors import InvariantError
 from seedcorpus import EXTENDED_FAMILIES, PRIMARY_FAMILIES
 
@@ -266,20 +266,28 @@ class TestStructureCommands:
         assert status == 0
         assert json.loads(out)["cardinality"] == "16"
 
-    def test_classify_full_space_has_no_dual_distance(self, capsys, tmp_path):
-        doc = {
-            "ring": {"p": 2, "s": 2, "backend": "int"},
-            "n": 2,
-            "generators": [[1, 0], [0, 1]],
-        }
-        path = tmp_path / "full.json"
-        path.write_text(json.dumps(doc))
-        status, out, _ = run(capsys, "classify", str(path))
+    @pytest.mark.parametrize("backend", ["int", "poly"])
+    @pytest.mark.parametrize(
+        "n, rows, expected",
+        [
+            # The full space: its dual is zero, of distance n + 1.
+            (2, [(1, 0), (0, 1)], (3, 0, 0, 0, "MDS")),
+            (4, [(1, 0, 1, 1), (0, 1, 1, 2)], (2, 1, 1, 2, "NearMDS")),
+        ],
+        ids=["full-space", "free-4-2"],
+    )
+    def test_classify_and_check_share_d_dual(self, n, rows, expected, backend):
+        doc = CodeDocument(ring=ChainRing(2, 2, backend), n=n, generators=tuple(rows))
+        text = json.dumps(doc.to_obj())
+        status, out, _ = run_stdin(text, "classify", "-")
         payload = json.loads(out)
         assert status == 0
-        assert payload["label"] == "MDS"
-        assert payload["d_dual"] is None
-        assert payload["sigma"] is None
+        keys = ("d_dual", "defect", "dual_defect", "sigma", "label")
+        assert tuple(payload[key] for key in keys) == expected
+        for identity in ("new", "pless", "power", "subtypes"):
+            status, out, _ = run_stdin(text, "check", "-", "--identity", identity, "--all-nu")
+            assert status == 0, identity
+            assert json.loads(out)["d_dual"] == payload["d_dual"], identity
 
     def test_classify_zero_code_rejected(self, capsys, tmp_path):
         doc = {"ring": {"p": 2, "s": 2, "backend": "int"}, "n": 2, "generators": []}
@@ -1221,7 +1229,9 @@ def contract_call(draw):
     """
     doc = draw(corpus_document())
     code, n, text = doc.to_code(), doc.n, json.dumps(doc.to_obj())
-    counts = weight_distribution(code, cap=DEFAULT_ENUMERATION_CAP).counts
+    with mock.patch.dict(os.environ):
+        os.environ.pop(ENUMERATION_CAP_ENV, None)
+        counts = weight_distribution(code).counts
     d = next((w for w in range(1, n + 1) if counts[w]), None)
     fault = draw(st.booleans()) and draw(st.booleans())
     command = draw(st.sampled_from(sorted(chainring.cli._HANDLERS)))

@@ -13,6 +13,7 @@ from chainring import (
     dual,
     kernel_code,
     standard_form,
+    weight_distribution,
 )
 from oracles import brute_kernel, identity_matrix, matmul, same_codewords, span_set, transpose
 
@@ -244,13 +245,15 @@ class TestClassify:
         assert profile.dual_defect == 1
 
     def test_full_space_is_mds(self):
+        # the zero dual has distance n + 1, so the dual defect is 0
         code = code_from_generators(Z4, 3, identity_matrix(Z4, 3).rows)
-        assert classify(code, d=1).label == "MDS"
+        profile = classify(code, d=1, d_dual=4)
+        assert (profile.label, profile.dual_defect, profile.sigma) == ("MDS", 0, 0)
 
     def test_negative_defect_rejected(self):
         code = code_from_generators(Z4, 3, REFERENCE_Z4)
         with pytest.raises(ValueError, match="Singleton"):
-            classify(code, d=2)
+            classify(code, d=2, d_dual=1)
 
     def test_negative_dual_defect_rejected(self):
         code = code_from_generators(Z4, 3, REFERENCE_Z4)
@@ -261,15 +264,13 @@ class TestClassify:
         # d = 0 gave a defect above 1: the label "other".
         code = code_from_generators(Z4, 3, REFERENCE_Z4)
         with pytest.raises(ValueError, match=r"^distance 0 out of range 1..3$"):
-            classify(code, 0)
+            classify(code, 0, 1)
 
     def test_near_mdr_when_not_free(self):
         # type (1,1) over Z/4, defect and dual defect both 1
         code = code_from_generators(Z4, 3, [(1, 1, 1), (0, 2, 2)])
-        from chainring import min_distance
-
-        d = min_distance(code)
-        d_dual = min_distance(dual(code))
+        d = weight_distribution(code).distance
+        d_dual = weight_distribution(dual(code)).distance
         profile = classify(code, d, d_dual)
         if profile.defect == 1 and profile.dual_defect == 1:
             assert profile.label == "NearMDR"

@@ -16,7 +16,6 @@ from chainring import (
     WeightDistribution,
     code_from_generators,
     enumeration_cap,
-    min_distance,
     render_enumerator,
     weight_distribution,
 )
@@ -114,10 +113,11 @@ class TestWeightDistribution:
         other = code_from_generators(ring, code.n, shuffled)
         assert weight_distribution(other).counts == baseline
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, "8")
         code = code_from_generators(Z4, 3, REFERENCE_Z4)
         with pytest.raises(CapExceededError, match="cap"):
-            weight_distribution(code, cap=8)
+            weight_distribution(code)
 
     def test_env_cap_override(self, monkeypatch):
         monkeypatch.setenv(ENUMERATION_CAP_ENV, "8")
@@ -176,18 +176,21 @@ def brute_kernel_free_span():
 
 
 class TestMinDistance:
+    """``WeightDistribution.distance``: the least positive weight, n + 1 for the zero code."""
+
     def test_reference_codes(self):
-        assert min_distance(code_from_generators(Z4, 3, REFERENCE_Z4)) == 1
+        assert weight_distribution(code_from_generators(Z4, 3, REFERENCE_Z4)).distance == 1
         c1 = code_from_generators(Z125, 4, [(1, 0, 57, 0), (0, 1, 0, 68)])
-        assert min_distance(c1) == 2
+        assert weight_distribution(c1).distance == 2
 
     def test_full_space(self):
         code = code_from_generators(Z4, 2, identity_matrix(Z4, 2).rows)
-        assert min_distance(code) == 1
+        assert weight_distribution(code).distance == 1
+        assert weight_distribution(dual(code)).distance == 3
 
-    def test_zero_code_rejected(self):
-        with pytest.raises(ValueError, match="zero code"):
-            min_distance(code_from_generators(Z4, 2, []))
+    def test_zero_code_is_n_plus_one(self):
+        for n in (0, 2):
+            assert weight_distribution(code_from_generators(Z4, n, [])).distance == n + 1
 
 
 class TestDistributionValidation:
@@ -523,14 +526,15 @@ class TestTableAccumulator:
         assert _MessageSpace(code).acc == np.uint32
         assert weight_distribution(code).counts == brute_weight_counts(ring, rows, 3)
 
-    def test_refuses_sums_past_uint64(self):
+    def test_refuses_sums_past_uint64(self, monkeypatch):
         # Five digits of radix 2**31 - 1 could sum past 2**64; four cannot.
         ring = ChainRing(2**31 - 1, 1)
         four = code_from_generators(ring, 4, identity_matrix(ring, 4).rows)
         assert _MessageSpace(four).acc == np.uint64
         code = code_from_generators(ring, 5, identity_matrix(ring, 5).rows)
+        monkeypatch.setenv(ENUMERATION_CAP_ENV, str(10**50))
         with pytest.raises(CapExceededError, match="uint64"):
-            weight_distribution(code, cap=10**50)
+            weight_distribution(code)
 
 
 class TestMacWilliamsSide:

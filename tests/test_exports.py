@@ -23,6 +23,8 @@ REMOVED = (
     "parity_check",
     "PascalSystem",
     "submatrix",
+    "min_distance",
+    "DoubleCountCheck",
 )
 
 # Methods removed with the exports above: the element wrapper's helpers on
@@ -34,6 +36,7 @@ REMOVED_MEMBERS = {
     ),
     chainring.RingMatrix: ("is_zero", "transpose"),
     chainring.LinearCode: ("same_codewords", "contains"),
+    chainring.WeightDistribution: ("min_positive_weight",),
 }
 
 

@@ -173,12 +173,14 @@ class TestMacWilliamsPolynomialOracle:
 
 class TestNewRelation:
     def test_c1_at_nu_3(self):
-        result = check_new_relation(c1_dist(), 3)
-        assert (result.lhs, result.rhs, result.holds) == (500, Fraction(500), True)
+        result = check_new_relation(c1_dist(), 3, d_dual=2)
+        assert (result.lhs, result.rhs, result.holds, result.required) == (
+            500, Fraction(500), True, True
+        )
 
     def test_total_count_at_full_width(self):
         dist = reference_dist()
-        result = check_new_relation(dist, dist.n)
+        result = check_new_relation(dist, dist.n, d_dual=1)
         assert result.lhs == 16
         assert result.holds
 
@@ -187,10 +189,6 @@ class TestNewRelation:
         assert (result.lhs, result.rhs) == (16, Fraction(12))
         assert not result.holds
         assert result.required is False  # threshold is nu > n - d_dual = 2
-
-    def test_report_needs_dual_distance(self):
-        with pytest.raises(ValueError, match="dual minimum distance"):
-            new_relation_report(reference_dist(), None)
 
     def test_holds_above_threshold_on_extended_corpus(self, extended_corpus):
         for entry in extended_corpus:
@@ -209,17 +207,18 @@ class TestDoubleCount:
         )
         assert sizes == [4, 4, 8]
         result = double_count_check(code, 2)
-        assert result.kernel_side == result.codeword_side == 16
+        assert result.lhs == result.rhs == 16
+        assert result.required
 
     def test_full_width_counts_the_code(self):
         code = code_from_generators(Z4, 3, REFERENCE_Z4)
         result = double_count_check(code, 3)
-        assert result.kernel_side == result.codeword_side == 16
+        assert result.lhs == result.rhs == 16
 
     def test_c1_at_nu_3(self):
         code = code_from_generators(Z125, 4, C1_ROWS)
         result = double_count_check(code, 3)
-        assert result.kernel_side == result.codeword_side == 500
+        assert result.lhs == result.rhs == 500
 
     def test_kernel_side_matches_kernel_code_oracle(self, extended_corpus):
         # comb(8, 4) = 70 covers every nu of the corpus (n <= 8); the bound keeps
@@ -238,7 +237,7 @@ class TestDoubleCount:
                     for cols in combinations(range(n), nu)
                 )
                 result = double_count_check(code, nu, distribution=entry.dist)
-                assert result.kernel_side == expected, (entry.label, nu)
+                assert result.lhs == expected, (entry.label, nu)
                 if nu:
                     tally = count_submatrix_types(parity, nu)
                     weighted = sum(
@@ -253,7 +252,7 @@ class TestDoubleCount:
         code = code_from_generators(Z9, 3, identity_matrix(Z9, 3).rows)
         for nu in range(4):
             result = double_count_check(code, nu)
-            assert result.kernel_side == comb(3, nu) * 9**nu
+            assert result.lhs == comb(3, nu) * 9**nu
             assert result.holds
 
     def test_every_nu_on_corpus_sample(self, corpus):

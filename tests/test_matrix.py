@@ -301,7 +301,7 @@ class TestCountSubmatrixTypes:
                 count * ring.size**nu // profile.module_size(ring.p)
                 for profile, count in reduced_submatrix_tally(parity, nu).items()
             )
-            assert double_count_check(code, nu).kernel_side == expected, nu
+            assert double_count_check(code, nu).lhs == expected, nu
 
     def test_later_column_lowers_a_pivot_level(self, monkeypatch):
         # Columns (2,0) and (0,2) give two pivots of level 1; (1,1) has a unit
@@ -392,7 +392,7 @@ class TestScanAtTheBenchmarkShape:
                     count * ring.size**nu // profile.module_size(ring.p)
                     for profile, count in expected.items()
                 )
-                assert double_count_check(code, nu).kernel_side == kernel_side, (ring, nu)
+                assert double_count_check(code, nu).lhs == kernel_side, (ring, nu)
         # Some columns lower a pivot's level, so the walk's common step hands
         # them to the swap; a reshape needs s >= 3.
         assert seen["swap"] and not seen["reshape"]
