@@ -124,7 +124,7 @@ def _systematic_parity_rows(code: LinearCode) -> list[tuple[int, ...]]:
     rows = []
     for i in range(s):
         earlier = [(pivot, row) for pivot, a, row in reversed(divided) if a < s - i]
-        g = ring.gamma_pow(i)
+        g = ring.gamma_powers[i]
         for c, a in zip(perm, levels):
             if a != s - i:
                 continue

@@ -19,13 +19,15 @@ add/neg/mul and unit inversion differ.
 
 Every scalar operation comes from one kit per ring, ``ChainRing.ops``: add,
 mul, neg, valuation, unit part and inverse, built on first use, cached per
-(p, s, backend) and shared by equal rings.  ``_ops`` alone decides how.  On
-rings of at most ``TABLE_RING_SIZE`` elements, on either backend, each
-operation reads a table: one q x q table each for add and mul and one of q
-entries for each of the others.  Larger rings compute modulo p**s (integer
-backend) or digit by digit over ``_digits`` and ``_pack`` (polynomial
-backend), the same two functions ``decode`` and ``encode`` use.  The six
-methods of ``ChainRing`` check their input and call the kit.
+(p, s, backend) and shared by equal rings.  Each operation is written once,
+in ``_arithmetic``: modulo p**s (integer backend) or digit by digit over
+``_digits`` and ``_pack`` (polynomial backend), the same two functions
+``decode`` and ``encode`` use.  ``_ops`` alone decides how the kit runs it:
+on rings of at most ``TABLE_RING_SIZE`` elements, on either backend,
+``_tables`` evaluates each operation once on every code and the kit reads
+the tables (one q x q table each for add and mul, one of q entries for each
+of the others); larger rings call ``_arithmetic`` directly.  The six methods
+of ``ChainRing`` check their input and call the kit.
 """
 
 from __future__ import annotations
@@ -49,11 +51,14 @@ BACKENDS = ("int", "poly")
 # use arbitrary precision.
 MAX_RING_SIZE = 1 << 31
 
-# Rings up to this size take their scalar operations from tables: 81 = 3**4
-# is the largest ring the benchmark's workloads run.  Above it a table still
-# wins per operation, but its build (13 ms and 1 MB for F_2[u]/(u^8)) is not
-# earned back by short calls.  At q = 81 the add and mul tables hold 6561
-# entries each, about 60 kB apiece.
+# Rings up to this size take their scalar operations from tables, the
+# arithmetic evaluated on every code; larger ones compute.  The benchmark's
+# workloads run both: Z/81 and F_3[u]/(u^4) on tables, Z/257^2 computed.
+# Above the bound a table still wins per operation, but its build is not
+# earned back by short calls: 16 ms and 6.3 MB traced peak for F_2[u]/(u^8),
+# against 0.7 ms and 0.5 MB for F_3[u]/(u^4) (2-core x86_64, Python 3.11,
+# numpy 2.4).  At q = 81 the add and mul tables hold 6561 entries each,
+# about 60 kB apiece.
 TABLE_RING_SIZE = 81
 
 ElementLike = Union[int, Sequence[int]]
@@ -76,42 +81,23 @@ def _is_prime(p: int) -> bool:
 
 def _tables(p: int, s: int, backend: str) -> tuple[tuple, ...]:
     """The tables of a ring: ``add[a][b]``, ``neg[a]``, ``mul[a][b]``,
-    ``valuation[a]``, ``unit_part[a]`` and ``inverse[a]``.
+    ``valuation[a]``, ``unit_part[a]`` and ``inverse[a]``, each the
+    arithmetic of ``_arithmetic`` evaluated on every code.
 
     ``unit_part[0]`` and ``inverse`` of a non-unit are 0, which no defined
     value is.
     """
+    add, mul, neg, valuation, unit_part, inverse = _arithmetic(p, s, backend)
     q = p**s
     codes = np.arange(q, dtype=np.int64)
-    if backend == "int":
-        add = (codes[:, None] + codes) % q
-        neg = -codes % q
-        mul = codes[:, None] * codes % q
-    else:
-        weights = [p**k for k in range(s)]
-        digits = [codes // w % p for w in weights]  # coefficient k of every code
-        add = sum((d[:, None] + d) % p * w for d, w in zip(digits, weights))
-        neg = sum(-d % p * w for d, w in zip(digits, weights))
-        # Coefficient k of a product collects a_i * b_(k-i); degrees from s
-        # on vanish.
-        mul = sum(
-            sum(digits[i][:, None] * digits[k - i] for i in range(k + 1)) % p * w
-            for k, w in enumerate(weights)
-        )
-    # Valuation and unit part strip low base-p digits, the same in both backends.
-    valuation = np.zeros(q, dtype=np.int64)
-    for k in range(1, s):
-        valuation += codes % p**k == 0
-    valuation[0] = s
-    unit_part = codes // p**valuation
-    inverse = (mul == 1).argmax(axis=1)  # 0 in a non-unit's row, which holds no 1
+    pairs = (codes[:, None], codes)
     return (
-        tuple(map(tuple, add.tolist())),
-        tuple(neg.tolist()),
-        tuple(map(tuple, mul.tolist())),
-        tuple(valuation.tolist()),
-        tuple(unit_part.tolist()),
-        tuple(inverse.tolist()),
+        tuple(map(tuple, add(*pairs).tolist())),
+        tuple(neg(codes).tolist()),
+        tuple(map(tuple, mul(*pairs).tolist())),
+        tuple(map(valuation, range(q))),
+        tuple(map(unit_part, range(q))),  # unit_part(0) is 0 // p**s
+        tuple(inverse(a) if a % p else 0 for a in range(q)),
     )
 
 
@@ -165,12 +151,6 @@ class ChainRing:
     def gamma_powers(self) -> tuple[int, ...]:
         """Codes of gamma**0 .. gamma**(s-1), for loops that index them."""
         return tuple(self.p**j for j in range(self.s))
-
-    def gamma_pow(self, j: int) -> int:
-        """Code of gamma**j (zero once j reaches the nilpotency index)."""
-        if j < 0:
-            raise ValueError("exponent must be nonnegative")
-        return self.p**j if j < self.s else 0
 
     # -- scalar arithmetic on codes ----------------------------------------
 
@@ -244,11 +224,12 @@ class ChainRing:
 
 
 def _digits(code: int, p: int, s: int) -> tuple[int, ...]:
-    """The s base-p digits of a code, lowest first: a poly element's coefficients."""
+    """The s base-p digits of a code, lowest first: a poly element's
+    coefficients.  Elementwise on an array of codes."""
     out = []
     for _ in range(s):
         out.append(code % p)
-        code //= p
+        code = code // p  # not //=, which would divide a caller's array in place
     return tuple(out)
 
 
@@ -260,23 +241,12 @@ def _pack(digits: Sequence[int], p: int) -> int:
     return code
 
 
-@lru_cache(maxsize=8)
-def _ops(p: int, s: int, backend: str) -> tuple:
-    """The scalar kit of a ring, shared by equal rings: table lookups up to
-    TABLE_RING_SIZE, arithmetic above it.  Its functions close over p, s and
-    the tables, never over a ring.  They check nothing: unit_part must get a
-    nonzero code, inverse a unit."""
+def _arithmetic(p: int, s: int, backend: str) -> tuple:
+    """The six scalar operations of a ring, computed: modulo p**s (integer
+    backend) or digit by digit over ``_digits`` and ``_pack`` (polynomial
+    backend).  add, mul and neg also take int64 arrays, elementwise, which
+    is how ``_tables`` fills its tables."""
     q = p**s
-    if q <= TABLE_RING_SIZE:
-        add, neg, mul, valuation, unit_part, inverse = _tables(p, s, backend)
-        return (
-            lambda a, b: add[a][b],
-            lambda a, b: mul[a][b],
-            neg.__getitem__,
-            valuation.__getitem__,
-            unit_part.__getitem__,
-            inverse.__getitem__,
-        )
 
     # Stripping the lowest base-p digit divides by p in Z/p^s and by u in
     # F_p[u]/(u^s), so valuation and unit part serve both backends.
@@ -312,9 +282,8 @@ def _ops(p: int, s: int, backend: str) -> tuple:
         digits_b = _digits(b, p, s)
         out = [0] * s
         for i, x in enumerate(_digits(a, p, s)):
-            if x:
-                for j in range(s - i):
-                    out[i + j] += x * digits_b[j]
+            for j in range(s - i):
+                out[i + j] += x * digits_b[j]
         return _pack(out, p)
 
     def inverse(a: int) -> int:
@@ -331,3 +300,22 @@ def _ops(p: int, s: int, backend: str) -> tuple:
         return _pack(out, p)
 
     return add, mul, neg, valuation, unit_part, inverse
+
+
+@lru_cache(maxsize=8)
+def _ops(p: int, s: int, backend: str) -> tuple:
+    """The scalar kit of a ring, shared by equal rings: table lookups up to
+    TABLE_RING_SIZE, ``_arithmetic`` above it.  Its functions close over p,
+    s and the tables, never over a ring.  They check nothing: unit_part must
+    get a nonzero code, inverse a unit."""
+    if p**s > TABLE_RING_SIZE:
+        return _arithmetic(p, s, backend)
+    add, neg, mul, valuation, unit_part, inverse = _tables(p, s, backend)
+    return (
+        lambda a, b: add[a][b],
+        lambda a, b: mul[a][b],
+        neg.__getitem__,
+        valuation.__getitem__,
+        unit_part.__getitem__,
+        inverse.__getitem__,
+    )

@@ -469,7 +469,7 @@ def _leveled_rows(ring, n, levels, rng):
             for _ in range(n - k)
         ]
         row = [int(i == j) for j in range(k)] + tail
-        rows.append([ring.mul(ring.gamma_pow(level), x) for x in row])
+        rows.append([ring.mul(ring.gamma_powers[level], x) for x in row])
     order = list(range(n))
     rng.shuffle(order)
     return [[row[j] for j in order] for row in rows]

@@ -32,7 +32,7 @@ REMOVED = (
 REMOVED_MEMBERS = {
     chainring.ChainRing: (
         "gamma", "zero", "one", "element", "sub", "gamma_code", "elements",
-        "residue_representatives",
+        "residue_representatives", "gamma_pow",
     ),
     chainring.RingMatrix: ("is_zero", "transpose"),
     chainring.LinearCode: ("same_codewords", "contains"),

@@ -7,12 +7,13 @@ import random
 import weakref
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import chainring.ring
 from chainring import ChainRing
-from chainring.ring import BACKENDS, TABLE_RING_SIZE
+from chainring.ring import BACKENDS, TABLE_RING_SIZE, _arithmetic, _digits, _pack
 from oracles import (
     brute_inverse,
     oracle_add,
@@ -72,7 +73,7 @@ class TestConstruction:
 
     def test_gamma_nilpotency(self):
         for ring in SMALL_RINGS:
-            g = ring.gamma_pow(1)
+            g = ring.gamma_powers[1] if ring.s > 1 else 0  # gamma is 0 when s = 1
             power = 1
             for _ in range(ring.s):
                 power = ring.mul(power, g)
@@ -151,7 +152,7 @@ class TestGammaDecomposition:
             if code == 0:
                 assert v == ring.s
                 continue
-            rebuilt = ring.mul(ring.gamma_pow(v), ring.unit_part(code))
+            rebuilt = ring.mul(ring.gamma_powers[v], ring.unit_part(code))
             assert rebuilt == code
             assert ring.valuation(ring.unit_part(code)) == 0
 
@@ -239,10 +240,9 @@ class TestEncoding:
 
 class TestElementOps:
     def test_gamma_properties(self):
-        assert Z8.gamma_pow(1) == 2
-        assert F2U3.decode(F2U3.gamma_pow(1)) == (0, 1, 0)
-        assert ChainRing(3, 1).gamma_pow(1) == 0
-        assert [Z125.gamma_pow(j) for j in range(4)] == [1, 5, 25, 0]
+        assert Z8.gamma_powers[1] == 2
+        assert F2U3.decode(F2U3.gamma_powers[1]) == (0, 1, 0)
+        assert ChainRing(3, 1).gamma_powers == (1,)
         assert Z125.gamma_powers == (1, 5, 25)
         assert F3U2.gamma_powers == (1, 3)
 
@@ -416,3 +416,34 @@ class TestOps:
         alive = weakref.ref(ring)
         del ring
         assert alive() is None
+
+
+class TestArithmeticOnArrays:
+    """``_tables`` fills its tables by calling ``_arithmetic``'s add, mul and
+    neg once on arrays of codes; the kit above the bound calls them on ints.
+    Both must give the same codes, and the arrays must come back unchanged."""
+
+    # Table rings up to Z/81 and F_3[u]/(u^4) at the bound, then rings
+    # computed above it.
+    @pytest.mark.parametrize(
+        "ring",
+        [
+            ChainRing(p, s, backend)
+            for p, s in [(2, 2), (3, 4), (5, 3), (2, 8), (257, 2)]
+            for backend in BACKENDS
+        ],
+        ids=str,
+    )
+    def test_arrays_match_scalar_calls(self, ring):
+        p, s, q = ring.p, ring.s, ring.size
+        add, mul, neg = _arithmetic(p, s, ring.backend)[:3]
+        rng = np.random.default_rng(q)
+        a, b = rng.integers(q, size=(2, 300), dtype=np.int64)
+        a[:3], b[:3] = [0, 1, q - 1], [q - 1, p, q - 1]
+        before = a.copy(), b.copy()
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert add(a, b).tolist() == [add(x, y) for x, y in pairs]
+        assert mul(a, b).tolist() == [mul(x, y) for x, y in pairs]
+        assert neg(a).tolist() == [neg(x) for x, _ in pairs]
+        assert _pack(_digits(a, p, s), p).tolist() == a.tolist()
+        assert a.tolist() == before[0].tolist() and b.tolist() == before[1].tolist()
