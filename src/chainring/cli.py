@@ -42,6 +42,7 @@ from .codefile import (
 from .enumeration import (
     WeightDistribution,
     _check_card,
+    _check_enumeration_cap,
     _check_ring_and_ranks,
     render_enumerator,
     weight_distribution,
@@ -112,6 +113,13 @@ def _parse_counts(text: str, n: int) -> list[int]:
     if len(counts) != n + 1:
         raise CodeFileError(f"distribution needs {n + 1} counts, got {len(counts)}")
     return counts
+
+
+def _dual_distribution(code: LinearCode) -> WeightDistribution:
+    """C_dual's weight distribution.  Its size comes from the code's type, so
+    a C_dual over the enumeration cap is refused before it (and H) is built."""
+    _check_enumeration_cap(code.profile.dual(code.n).module_size(code.ring.p))
+    return weight_distribution(dual(code))
 
 
 def _distribution_from_counts(code: LinearCode, counts: list[int]) -> WeightDistribution:
@@ -196,7 +204,7 @@ def _cmd_wdist(args) -> tuple[Any, int]:
         dist = weight_distribution(code)
     elif args.method == "solve":
         known = _parse_known(args.known)  # refused before C_dual is enumerated
-        d_dual = weight_distribution(dual(code)).distance
+        d_dual = _dual_distribution(code).distance
         ctx = IdentityContext.from_code(code, d=args.d, d_dual=d_dual)
         dist = solve_distribution(ctx, known)
     else:  # mds
@@ -253,7 +261,7 @@ def _cmd_classify(args) -> tuple[Any, int]:
     d = weight_distribution(code).distance
     if d > code.n:
         raise CodeFileError("the zero code has no minimum distance to classify")
-    profile = classify(code, d, weight_distribution(dual(code)).distance)
+    profile = classify(code, d, _dual_distribution(code).distance)
     return (
         {
             "n": code.n,
@@ -306,7 +314,7 @@ def _cmd_check(args) -> tuple[Any, int]:
     elif identity != "subtypes":
         dist = weight_distribution(code)
     if identity != "doublecount":
-        dual_dist = weight_distribution(dual(code))
+        dual_dist = _dual_distribution(code)
         d_dual = report["d_dual"] = dual_dist.distance
     first = 1 if identity == "subtypes" else 0
     last = min(d_dual - 1, n) if identity == "pless" else n

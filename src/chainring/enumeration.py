@@ -131,6 +131,13 @@ def enumeration_cap() -> int:
     return DEFAULT_ENUMERATION_CAP
 
 
+def _check_enumeration_cap(words: int) -> None:
+    """Refuse to enumerate a code of this many words above ``enumeration_cap()``."""
+    cap = enumeration_cap()
+    if words > cap:
+        raise CapExceededError(f"code has {words} words, above the enumeration cap {cap}")
+
+
 def _check_ring_and_ranks(n: int, p: int, s: int, rank: int, free_rank: int) -> None:
     """Refuse a ring that does not exist, or ranks no length-n code has."""
     ChainRing(p, s)  # the rules of a ring
@@ -376,11 +383,7 @@ def _histogram(stream: Iterable[np.ndarray], n: int) -> np.ndarray:
 
 def weight_distribution(code: LinearCode) -> WeightDistribution:
     """Exact Hamming-weight histogram of all codewords, under ``enumeration_cap()``."""
-    cap = enumeration_cap()
-    if code.cardinality > cap:
-        raise CapExceededError(
-            f"code has {code.cardinality} words, above the enumeration cap {cap}"
-        )
+    _check_enumeration_cap(code.cardinality)
     space = _MessageSpace(code)
     if space.total != code.cardinality:
         raise InvariantError("message space size differs from the cardinality formula")

@@ -333,15 +333,18 @@ def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile,
     H_I has the type of the module its columns span in R^r (r = nrows).  The
     subsets are walked depth first in lexicographic order, each node holding
     the reduced column module of its prefix, so subsets with a common prefix
-    share its reduction.  A column is added by the common step ``_reduce``,
-    with the ring's kit bound once here, and by ``_insert`` only from the
-    first row whose level it would lower; the column left over becomes a new
-    row at its least valuation, which this loop reads.  A node one column
-    short counts its leaves as it adds their columns, without keeping their
-    modules.  Once the prefix spans all of R^r (t_0 = r), every extension
-    has the same type and the whole subtree is counted at once.
-    nu = 0 counts the single empty subset.  Raises CapExceededError, before
-    any column is reduced, if comb(ncols, nu) exceeds the cap.
+    share its reduction.  One loop body adds each child's column to the
+    node's module: the common step ``_reduce``, with the ring's kit bound
+    once here, then ``_insert`` only from the first row whose level the
+    column would lower; the column left over becomes a new row at its least
+    valuation, which the loop reads.  Only what follows differs: a node one
+    column short counts its children, which are leaves, in place without
+    building their rows, and any other node pushes them.  A node with no
+    column left to pick, or whose prefix spans all of R^r (t_0 = r), counts
+    its comb(ncols - start, left) subsets at once: every extension has the
+    prefix's type, and nu = 0 counts the single empty subset.  Raises
+    CapExceededError, before any column is reduced, if comb(ncols, nu)
+    exceeds the cap.
     """
     ncols = matrix.ncols
     total = comb(ncols, nu)
@@ -358,55 +361,40 @@ def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile,
     stack = [(0, nu, (), (0,) * s)]
     while stack:
         start, left, module, counts = stack.pop()
+        if not left or counts == full:
+            tally[counts] = tally.get(counts, 0) + comb(ncols - start, left)
+            continue
+        keep = left > 1  # else the children are leaves, counted here
         size = len(module)
-        if counts == full:
-            tally[full] = tally.get(full, 0) + comb(ncols - start, left)
-        elif left == 0:  # the empty subset, nu = 0
-            tally[counts] = tally.get(counts, 0) + 1
-        elif left == 1:
-            # The children are leaves: counted here, in lexicographic order.
-            for c in range(start, ncols):
-                v = list(columns[c])
-                leaf = counts
-                t = _reduce(add, mul, neg, module, v, 0)
-                if t < size:
-                    _, leaf, v = _insert(ring, module, counts, v, t, False)
-                # The leaf's new row, if any, has the least valuation in v.
-                e = s
-                for x in v:
-                    if x:
-                        level = valuation(x)
-                        if level < e:
-                            e = level
-                            if not e:
-                                break
-                if e < s:
-                    leaf = leaf[:e] + (leaf[e] + 1,) + leaf[e + 1 :]
-                tally[leaf] = tally.get(leaf, 0) + 1
-        else:
-            # Children are pushed last first, so they are visited in lexicographic order.
-            for c in range(ncols - left, start - 1, -1):
-                v = list(columns[c])
-                child, child_counts = module, counts
-                t = _reduce(add, mul, neg, module, v, 0)
-                if t < size:
-                    child, child_counts, v = _insert(ring, module, counts, v, t, True)
-                # The first entry of least valuation becomes the new pivot.
-                j, e = -1, s
-                for i, x in enumerate(v):
-                    if x:
-                        level = valuation(x)
-                        if level < e:
-                            j, e = i, level
-                            if not e:
-                                break
-                if e < s:
-                    scale = inverse(unit_part(v[j]))
-                    # A list comprehension: quicker here than draining a generator.
-                    support = tuple([(i, mul(scale, x)) for i, x in enumerate(v) if x and i != j])
-                    child += ((j, e, powers[e], support),)
-                    child_counts = child_counts[:e] + (child_counts[e] + 1,) + child_counts[e + 1 :]
-                stack.append((c + 1, left - 1, child, child_counts))
+        # Last first, so pushed children are visited in lexicographic order;
+        # leaves only add to counts, in any order.
+        for c in range(ncols - left, start - 1, -1):
+            v = list(columns[c])
+            child, child_counts = module, counts
+            t = _reduce(add, mul, neg, module, v, 0)
+            if t < size:
+                child, child_counts, v = _insert(ring, module, counts, v, t, keep)
+            # The new pivot: the first entry of least valuation, which v.index finds.
+            e = s
+            for x in v:
+                if x:
+                    level = valuation(x)
+                    if level < e:
+                        e, pivot = level, x
+                        if not e:
+                            break
+            if e < s:
+                child_counts = child_counts[:e] + (child_counts[e] + 1,) + child_counts[e + 1 :]
+            if not keep:
+                tally[child_counts] = tally.get(child_counts, 0) + 1
+                continue
+            if e < s:
+                j = v.index(pivot)
+                scale = inverse(unit_part(pivot))
+                # A list comprehension: quicker here than draining a generator.
+                support = tuple([(i, mul(scale, x)) for i, x in enumerate(v) if x and i != j])
+                child += ((j, e, powers[e], support),)
+            stack.append((c + 1, left - 1, child, child_counts))
     return {TypeProfile(counts): k for counts, k in tally.items()}
 
 

@@ -80,7 +80,7 @@ def _is_prime(p: int) -> bool:
 
 
 def _tables(p: int, s: int, backend: str) -> tuple[tuple, ...]:
-    """The tables of a ring: ``add[a][b]``, ``neg[a]``, ``mul[a][b]``,
+    """The tables of a ring: ``add[a][b]``, ``mul[a][b]``, ``neg[a]``,
     ``valuation[a]``, ``unit_part[a]`` and ``inverse[a]``, each the
     arithmetic of ``_arithmetic`` evaluated on every code.
 
@@ -93,8 +93,8 @@ def _tables(p: int, s: int, backend: str) -> tuple[tuple, ...]:
     pairs = (codes[:, None], codes)
     return (
         tuple(map(tuple, add(*pairs).tolist())),
-        tuple(neg(codes).tolist()),
         tuple(map(tuple, mul(*pairs).tolist())),
+        tuple(neg(codes).tolist()),
         tuple(map(valuation, range(q))),
         tuple(map(unit_part, range(q))),  # unit_part(0) is 0 // p**s
         tuple(inverse(a) if a % p else 0 for a in range(q)),
@@ -310,7 +310,7 @@ def _ops(p: int, s: int, backend: str) -> tuple:
     get a nonzero code, inverse a unit."""
     if p**s > TABLE_RING_SIZE:
         return _arithmetic(p, s, backend)
-    add, neg, mul, valuation, unit_part, inverse = _tables(p, s, backend)
+    add, mul, neg, valuation, unit_part, inverse = _tables(p, s, backend)
     return (
         lambda a, b: add[a][b],
         lambda a, b: mul[a][b],

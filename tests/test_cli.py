@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,7 @@ import chainring.code
 from chainring import ChainRing, code_from_generators, dual, weight_distribution
 from chainring.cli import main, random_generator_rows
 from chainring.codefile import CodeDocument
-from chainring.enumeration import ENUMERATION_CAP_ENV
+from chainring.enumeration import ENUMERATION_CAP_ENV, enumeration_cap
 from chainring.errors import InvariantError
 from seedcorpus import EXTENDED_FAMILIES, PRIMARY_FAMILIES
 
@@ -889,6 +890,42 @@ class TestExitCodes:
             "error: internal error: TypeError: Object of type set is not JSON serializable"
         ]
 
+
+
+# Z/4, [1500, 1]: C_dual has 4**1499 words, and its parity-check matrix 1500
+# rows of 1500 entries.
+WIDE_DOC = {"ring": {"p": 2, "s": 2}, "n": 1500, "generators": [[1] + [0] * 1499]}
+
+
+class TestDualOverTheCap:
+    """Every subcommand that enumerates C_dual sizes it from the code's type
+    and refuses it over the cap before C_dual (or H) is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify"],
+            ["wdist", "--method", "solve"],
+            *(["check", "--identity", identity, "--all-nu"]
+              for identity in ("new", "pless", "power", "subtypes")),
+        ],
+        ids=" ".join,
+    )
+    def test_refused_before_it_is_built(self, capsys, tmp_path, argv):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(WIDE_DOC))
+        tracemalloc.start()
+        try:
+            status, out, err = run(capsys, argv[0], str(path), *argv[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 3
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: code has {4**1499} words, above the enumeration cap {enumeration_cap()}"
+        ]
+        assert peak < 1 << 20, peak
 
 # What `python -m chainring` runs, after the card handler is broken.
 BROKEN_CARD = """
