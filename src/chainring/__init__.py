@@ -26,7 +26,6 @@ from .identities import (
     check_new_relation,
     double_count_check,
     macwilliams_transform,
-    mds_distribution,
     new_relation_report,
     power_moment,
     solve_distribution,
@@ -64,7 +63,6 @@ __all__ = [
     "enumeration_cap",
     "kernel_code",
     "macwilliams_transform",
-    "mds_distribution",
     "new_relation_report",
     "power_moment",
     "render_enumerator",

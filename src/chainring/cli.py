@@ -54,7 +54,6 @@ from .identities import (
     check_new_relation,
     double_count_check,
     macwilliams_transform,
-    mds_distribution,
     power_moment,
     solve_distribution,
 )
@@ -202,22 +201,24 @@ def _cmd_wdist(args) -> tuple[Any, int]:
             raise CodeFileError(f"{flag} is read only by --method solve; drop it")
     if args.method == "enumerate":
         dist = weight_distribution(code)
-    elif args.method == "solve":
-        known = _parse_known(args.known)  # refused before C_dual is enumerated
-        d_dual = _dual_distribution(code).distance
-        ctx = IdentityContext.from_code(code, d=args.d, d_dual=d_dual)
-        dist = solve_distribution(ctx, known)
-    else:  # mds
-        if not code.is_free:
-            raise CodeFileError("the mds method needs a free code")
-        n, k = code.n, code.rank
-        if not k:
-            raise CodeFileError("the mds method needs a nonzero code, and this is the zero code")
-        # A free code of rank k is MDS exactly when every k-column submatrix
-        # of G has the code's own type (k, 0, ..., 0).
-        if count_submatrix_types(code.generator_matrix(), k) != {code.profile: comb(n, k)}:
-            raise CodeFileError("the mds method needs an MDS code, and this free code is not")
-        dist = mds_distribution(n, k, code.ring.p, code.ring.s)
+    else:
+        if args.method == "solve":
+            known = _parse_known(args.known)  # refused before C_dual is enumerated
+            d, d_dual = args.d, _dual_distribution(code).distance
+        else:  # mds
+            if not code.is_free:
+                raise CodeFileError("the mds method needs a free code")
+            n, k = code.n, code.rank
+            if not k:
+                raise CodeFileError(
+                    "the mds method needs a nonzero code, and this is the zero code"
+                )
+            # A free code of rank k is MDS exactly when every k-column submatrix
+            # of G has the code's own type (k, 0, ..., 0).
+            if count_submatrix_types(code.generator_matrix(), k) != {code.profile: comb(n, k)}:
+                raise CodeFileError("the mds method needs an MDS code, and this free code is not")
+            known, d, d_dual = {}, n - k + 1, k + 1
+        dist = solve_distribution(IdentityContext.from_code(code, d=d, d_dual=d_dual), known)
     payload: Any = distribution_to_obj(dist)
     if args.poly:
         payload = {

@@ -181,6 +181,7 @@ class WeightDistribution:
 
     def __post_init__(self) -> None:
         _check_ring_and_ranks(self.n, self.p, self.s, self.rank, self.free_rank)
+        _check_card(self.card, self.p, self.s, self.rank, self.free_rank)
         if len(self.counts) != self.n + 1:
             raise ValueError(f"expected {self.n + 1} counts, got {len(self.counts)}")
         if self.counts[0] != 1:

@@ -11,8 +11,8 @@ tolerance.  The machinery:
   parity-check matrix,
 * power moments (full form against the dual distribution, and the short form
   valid below the dual distance),
-* exact solvers that complete a partial distribution from either system, and
-* the closed form for MDS codes.
+* exact solvers that complete a partial distribution from either system; an
+  MDS code, with d = n - k + 1 and d_dual = k + 1, needs no count known.
 
 Each identity is one row, the coefficients of A_0..A_n and an exact right
 side, which its check evaluates and its solver stacks.
@@ -32,7 +32,7 @@ from .enumeration import (
     _check_ring_and_ranks,
     weight_distribution,
 )
-from .matrix import DEFAULT_SUBSET_CAP, TypeProfile, _subset_profiles
+from .matrix import DEFAULT_SUBSET_CAP, TypeProfile, _check_subset_cap, _subset_profiles
 
 __all__ = [
     "IdentityContext",
@@ -41,7 +41,6 @@ __all__ = [
     "check_new_relation",
     "double_count_check",
     "macwilliams_transform",
-    "mds_distribution",
     "new_relation_report",
     "power_moment",
     "solve_distribution",
@@ -273,6 +272,7 @@ def double_count_check(
                 f"the distribution counts {distribution.card} words, "
                 f"the code has {code.cardinality}"
             )
+    _check_subset_cap(code.n, nu, subset_cap)  # before H is built
     kernel_side = sum(
         ring.size**nu // profile.module_size(ring.p) * count
         for profile, count in _subset_profiles(code.parity_check(), nu, subset_cap).items()
@@ -336,7 +336,7 @@ def power_moment(
 # -- solvers --------------------------------------------------------------------
 
 
-def _solve_exact(rows: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
+def _solve_exact(rows: list[list[int]], rhs: list[int]) -> list[int | Fraction]:
     """Solve an (m x u) system with m >= u by exact Gaussian elimination.
 
     Requires full column rank; surplus equations must be consistent, which
@@ -350,8 +350,9 @@ def _solve_exact(rows: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
         if pivot is None:
             raise ValueError("singular system: the given unknowns are not determined")
         work[r], work[pivot] = work[pivot], work[r]
-        inv = 1 / Fraction(work[r][r])
-        work[r] = [x * inv for x in work[r]]
+        if work[r][r] != 1:  # else integer rows stay integral
+            inv = 1 / Fraction(work[r][r])
+            work[r] = [x * inv for x in work[r]]
         for i in range(m):
             if i != r and work[i][r] != 0:
                 f = work[i][r]
@@ -404,7 +405,7 @@ def _complete(
                 f"right-hand side at nu={nu} is {value}, not a nonnegative "
                 "integer; the context is inconsistent"
             )
-        equations.append((coeffs, value))
+        equations.append((coeffs, int(value)))
     unknowns = [l for l in range(ctx.n + 1) if l not in known]
     if len(unknowns) > ctx.d_dual:
         raise ValueError(
@@ -456,30 +457,3 @@ def solve_distribution_pless(
     an independent consistency check on solved distributions.
     """
     return _complete(ctx, known, _moment_row, lambda: range(ctx.d_dual))
-
-
-# -- closed form -------------------------------------------------------------------
-
-
-def mds_distribution(n: int, rank: int, p: int, s: int) -> WeightDistribution:
-    """Weight distribution of a free code meeting the Singleton bound.
-
-    With q = p**s and d = n - rank + 1:
-        A_w = C(n, w) * sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1).
-    """
-    _check_ring_and_ranks(n, p, s, rank, rank)
-    if not rank:
-        raise ValueError("rank 0 is the zero code, which has no minimum distance")
-    q = p**s
-    d = n - rank + 1
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    for w in range(d, n + 1):
-        acc = 0
-        for j in range(w - d + 1):
-            t = binomial(w, j) * (q ** (w - d + 1 - j) - 1)
-            acc += -t if j & 1 else t
-        counts[w] = binomial(n, w) * acc
-    return WeightDistribution(
-        n=n, counts=tuple(counts), p=p, s=s, card=q**rank, rank=rank, free_rank=rank
-    )

@@ -327,6 +327,13 @@ def _reshape(ring: ChainRing, module: _Module, counts: tuple[int, ...], t: int, 
     return module[:t] + tuple(rebuilt), counts
 
 
+def _check_subset_cap(ncols: int, nu: int, cap: int) -> None:
+    """Refuse a scan of more than ``cap`` nu-column subsets, before any matrix work."""
+    total = comb(ncols, nu)
+    if total > cap:
+        raise CapExceededError(f"{total} column subsets exceed the cap of {cap}")
+
+
 def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile, int]:
     """Tally of the canonical type of every nu-column submatrix.
 
@@ -347,9 +354,7 @@ def _subset_profiles(matrix: RingMatrix, nu: int, cap: int) -> dict[TypeProfile,
     exceeds the cap.
     """
     ncols = matrix.ncols
-    total = comb(ncols, nu)
-    if total > cap:
-        raise CapExceededError(f"{total} column subsets exceed the cap of {cap}")
+    _check_subset_cap(ncols, nu, cap)
     ring = matrix.ring
     s = ring.s
     add, mul, neg, valuation, unit_part, inverse = ring.ops

@@ -8,8 +8,9 @@ tables or digit loops, and so is each entry of a matrix product; the
 MacWilliams transform is its closed triple sum.  Two codes have the same
 codewords when the spans of their generator rows are equal sets.  Codes of
 Singleton defect 0 or 1 are re-solved independently of the Pascal solver's
-elimination: by the closed MDS formula, the explicit inverse-Pascal form, or
-determinant ratios (Cramer's rule).  Intended for small instances only.
+elimination: by the closed MDS formula (``mds_distribution``, the reference
+for ``wdist --method mds``), the explicit inverse-Pascal form, or determinant
+ratios (Cramer's rule).  Intended for small instances only.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from chainring import (
     LinearCode,
     RingMatrix,
     WeightDistribution,
-    mds_distribution,
     solve_distribution,
 )
+from chainring.enumeration import _check_ring_and_ranks
 from chainring.identities import _fill_known, binomial
 
 
@@ -207,6 +208,30 @@ def small_defect_distribution(
     if defect not in (0, 1):
         raise ValueError(f"expected Singleton defect 0 or 1, got {defect}")
     return solve_distribution(ctx, known_high_weights)
+
+
+def mds_distribution(n: int, rank: int, p: int, s: int) -> WeightDistribution:
+    """Weight distribution of a free code meeting the Singleton bound.
+
+    With q = p**s and d = n - rank + 1:
+        A_w = C(n, w) * sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1).
+    """
+    _check_ring_and_ranks(n, p, s, rank, rank)
+    if not rank:
+        raise ValueError("rank 0 is the zero code, which has no minimum distance")
+    q = p**s
+    d = n - rank + 1
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    for w in range(d, n + 1):
+        acc = 0
+        for j in range(w - d + 1):
+            t = binomial(w, j) * (q ** (w - d + 1 - j) - 1)
+            acc += -t if j & 1 else t
+        counts[w] = binomial(n, w) * acc
+    return WeightDistribution(
+        n=n, counts=tuple(counts), p=p, s=s, card=q**rank, rank=rank, free_rank=rank
+    )
 
 
 @dataclass(frozen=True)

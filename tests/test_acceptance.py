@@ -20,14 +20,13 @@ from chainring import (
     double_count_check,
     dual,
     macwilliams_transform,
-    mds_distribution,
     new_relation_report,
     power_moment,
     solve_distribution,
     solve_distribution_pless,
     weight_distribution,
 )
-from oracles import span_set
+from oracles import mds_distribution, span_set
 from seedcorpus import build_corpus
 
 Z4 = ChainRing(2, 2)

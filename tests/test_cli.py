@@ -22,6 +22,7 @@ from chainring.cli import main, random_generator_rows
 from chainring.codefile import CodeDocument
 from chainring.enumeration import ENUMERATION_CAP_ENV, enumeration_cap
 from chainring.errors import InvariantError
+from oracles import mds_distribution
 from seedcorpus import EXTENDED_FAMILIES, PRIMARY_FAMILIES
 
 C1_DOC = {
@@ -186,6 +187,30 @@ class TestWdist:
         assert status == 3
         assert out == ""
         assert err.splitlines() == ["error: 2704156 column subsets exceed the cap of 1000000"]
+
+    @pytest.mark.parametrize(
+        "p, s, n, k, backend",
+        [
+            (11, 2, 11, 5, "int"),
+            (11, 2, 11, 5, "poly"),
+            (13, 2, 13, 6, "int"),
+            (23, 1, 20, 19, "int"),
+        ],
+    )
+    def test_mds_method_equals_the_closed_form(self, capsys, tmp_path, p, s, n, k, backend):
+        # Vandermonde rows x^j (j < k) at x = 0..n-1, distinct mod p: every
+        # k x k minor is a product of unit differences.  C is past the
+        # enumeration cap, so the subset-count solve is the only route.
+        rows = [[pow(x, j, p**s) for x in range(n)] for j in range(k)]
+        if backend == "poly":  # the same rows mod p, as constants
+            rows = [[[v % p] + [0] * (s - 1) for v in row] for row in rows]
+        path = tmp_path / "vandermonde.json"
+        path.write_text(json.dumps(
+            {"ring": {"p": p, "s": s, "backend": backend}, "n": n, "generators": rows}
+        ))
+        status, out, err = run(capsys, "wdist", str(path), "--method", "mds")
+        assert (status, err) == (0, "")
+        assert json.loads(out) == [str(a) for a in mds_distribution(n, k, p, s).counts]
 
     def test_poly_flag(self, capsys, reference_file):
         status, out, _ = run(capsys, "wdist", reference_file, "--poly")
@@ -899,7 +924,8 @@ WIDE_DOC = {"ring": {"p": 2, "s": 2}, "n": 1500, "generators": [[1] + [0] * 1499
 
 class TestDualOverTheCap:
     """Every subcommand that enumerates C_dual sizes it from the code's type
-    and refuses it over the cap before C_dual (or H) is built."""
+    and refuses it over the cap before C_dual (or H) is built; the double
+    count refuses a nu over the subset cap before H is built."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -926,6 +952,23 @@ class TestDualOverTheCap:
             f"error: code has {4**1499} words, above the enumeration cap {enumeration_cap()}"
         ]
         assert peak < 1 << 20, peak
+
+    def test_doublecount_refuses_over_the_subset_cap_before_h_is_built(self, capsys, tmp_path):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(WIDE_DOC))
+        tracemalloc.start()
+        try:
+            status, out, err = run(
+                capsys, "check", str(path), "--identity", "doublecount", "--nu", "2"
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 3
+        assert out == ""
+        assert err.splitlines() == ["error: 1124250 column subsets exceed the cap of 1000000"]
+        assert peak < 1 << 20, peak
+
 
 # What `python -m chainring` runs, after the card handler is broken.
 BROKEN_CARD = """

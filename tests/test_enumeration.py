@@ -19,7 +19,7 @@ from chainring import (
     render_enumerator,
     weight_distribution,
 )
-from chainring import dual, macwilliams_transform, mds_distribution
+from chainring import dual, macwilliams_transform
 from chainring.enumeration import (
     _BLOCK_CELLS,
     DEFAULT_ENUMERATION_CAP,
@@ -29,7 +29,7 @@ from chainring.enumeration import (
     _histogram,
 )
 from chainring.code import _inverse_positions
-from oracles import brute_weight_counts, identity_matrix, span_set
+from oracles import brute_weight_counts, identity_matrix, mds_distribution, span_set
 
 Z4 = ChainRing(2, 2)
 Z8 = ChainRing(2, 3)
@@ -696,6 +696,19 @@ class TestDistributionParameters:
         # ZeroDivisionError.
         with pytest.raises(ValueError, match=f"^p must be a prime integer, got {p}$"):
             _check_card(4, p, 1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "counts, card, rank, free_rank, low",
+        [((1, 3, 0), 4, 2, 2, 4), ((1, 2, 0), 3, 1, 1, 2), ((1, 3, 4), 8, 1, 1, 2)],
+    )
+    def test_rejects_a_card_no_code_of_its_ranks_has(self, counts, card, rank, free_rank, low):
+        # (1, 3, 0) with card 4 and free rank 2 over Z/4 was accepted, and its
+        # transform was a "code" of rank 0 with 4 words.
+        message = rf"^card {card} is not 2\*\*m with {low} <= m <= {low}, "
+        with pytest.raises(ValueError, match=message):
+            WeightDistribution(
+                n=2, counts=counts, p=2, s=2, card=card, rank=rank, free_rank=free_rank
+            )
 
     @pytest.mark.parametrize("rank, free_rank", [(3, 0), (1, 2), (0, -1), (-1, -1)])
     def test_rejects_impossible_ranks(self, rank, free_rank):

@@ -25,6 +25,7 @@ REMOVED = (
     "submatrix",
     "min_distance",
     "DoubleCountCheck",
+    "mds_distribution",
 )
 
 # Methods removed with the exports above: the element wrapper's helpers on

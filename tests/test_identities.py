@@ -21,7 +21,6 @@ from chainring import (
     dual,
     kernel_code,
     macwilliams_transform,
-    mds_distribution,
     new_relation_report,
     power_moment,
     solve_distribution,
@@ -33,6 +32,7 @@ from oracles import (
     brute_weight_counts,
     closed_form_crosscheck,
     identity_matrix,
+    mds_distribution,
     oracle_macwilliams,
     small_defect_distribution,
     submatrix,
